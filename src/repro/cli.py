@@ -514,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--solver", choices=_SOLVER_CHOICES, default="bdma")
     sim.add_argument("--backend", choices=("numpy", "jit"), default="numpy",
                      help="array-kernel backend for the solver hot loops "
-                          "(bit-identical results; jit needs numba or a C "
-                          "compiler, else it falls back to numpy)")
+                          "(bit-identical results; jit needs a C compiler, "
+                          "else it falls back to numpy)")
     sim.add_argument("--z", type=int, default=3, help="BDMA alternation rounds")
     sim.add_argument("--fraction", type=float, default=1.0,
                      help="clock position in [0,1] for --solver fixed")

@@ -1,19 +1,26 @@
-"""Shared glue adapting raw flat-argument kernels to the backend API.
+"""Glue adapting the raw flat-argument C kernels to the backend API.
 
-The numba and C providers expose the same low-level entry points (flat
-positional argument lists over contiguous arrays); this module wraps
-them into :class:`~repro.kernels.interface.KernelBackend` callables,
-allocating the small per-call scratch buffers and delegating the flat
-candidate path to the NumPy oracle (it is already one fused gather and
-off the decomposed hot path).
+The C provider exposes low-level entry points (flat positional argument
+lists over contiguous arrays); this module wraps them into
+:class:`~repro.kernels.interface.KernelBackend` callables, owning the
+per-state scratch and cache buffers and delegating the flat candidate
+path to the NumPy oracle (it is already one fused gather and off the
+decomposed hot path).
 
-Per-state argument caching: the C provider passes raw data pointers
+Per-state argument caching: the kernels take raw data pointers
 (``convert`` turns an array into a ``ctypes.c_void_p``), and converting
 ~30 arrays per kernel call dominates the adapter once the kernels
 themselves are fast.  Kernels mutate arrays strictly in place, so a
 conversion stays valid for as long as the state field references the
 same array object; the cache is keyed by identity and any re-bound
 field (profile reset, new game) reconverts transparently.
+
+``run_dynamics`` refreshes gaps incrementally; its caches (per-player
+cost terms and per-menu minima) and the server -> (menu, position) map
+live here, allocated once per state and filled by the kernel at the
+first move of each call.  The engine's work counters are
+unaffected: they count the reference dynamics' logical work, the same
+on every backend.
 """
 
 from __future__ import annotations
@@ -57,23 +64,42 @@ class _StateCache:
     """Converted kernel arguments for one :class:`DecomposedState`.
 
     Holds identity-checked ``(array, converted)`` pairs per field plus
-    the reusable scratch buffers (one adj row, one t row, per-menu best
-    values) whose shapes are fixed for the life of the state.
+    the buffers whose shapes are fixed for the life of the state: the
+    gap sweep's scratch (one adj row, one t row, per-menu best values)
+    and ``run_dynamics``' caches (``dyn``: resource-major copies of
+    ``p``/``w``/``sub`` and per-player access + fronthaul terms, compute
+    terms and per-menu minima; ``server_map``: each server's (menu,
+    position) entries).
     """
 
-    __slots__ = ("convert", "table", "adj", "t", "bvals", "num_groups")
+    __slots__ = (
+        "convert", "table", "adj", "t", "bvals", "dyn", "server_map",
+        "num_groups",
+    )
 
     def __init__(self, state: DecomposedState, convert) -> None:
         self.convert = convert
         self.table: dict = {}
         self.num_groups = len(state.cols)
-        self.adj = np.empty(2 * state.num_bs + state.num_servers)
-        self.t = np.empty(state.num_bs)
+        num_bs, num_servers = state.num_bs, state.num_servers
+        width = 2 * num_bs + num_servers
+        self.adj = np.empty(width)
+        self.t = np.empty(num_bs)
         # The trailing bvals slot stays +inf -- base stations with an
         # empty server menu map to it, so their totals never win the
-        # argmin (mirrors the NumPy evaluator's sentinel column).
+        # argmin (mirrors the NumPy evaluator's sentinel column; the
+        # kernel fills dyn's own sentinel row).
         self.bvals = np.empty(self.num_groups + 1)
         self.bvals[-1] = np.inf
+        # Left unfilled: the kernel builds both at the first move of a
+        # call, so calls converged on entry never touch them.
+        self.dyn = np.empty(
+            (3 * width + num_bs + num_servers + self.num_groups + 1)
+            * state.num_players
+        )
+        self.server_map = np.empty(
+            num_servers + 1 + 2 * state.menu_servers.size, dtype=np.int64
+        )
 
     def field(self, state: DecomposedState, name: str):
         arr = getattr(state, name)
@@ -85,19 +111,13 @@ class _StateCache:
         self.table[name] = (arr, converted)
         return converted
 
-    def scratch(self):
-        """Converted scratch pointers (kernels overwrite the contents,
-        never the sentinel slot past ``num_groups``)."""
-        convert = self.convert
-        entry = self.table.get("__scratch__")
+    def buffers(self, names: tuple[str, ...]) -> tuple:
+        """Converted pointers of this cache's own buffers *names*."""
+        entry = self.table.get(names)
         if entry is None:
-            entry = (convert(self.adj), convert(self.t), convert(self.bvals))
-            self.table["__scratch__"] = entry
+            entry = tuple(self.convert(getattr(self, name)) for name in names)
+            self.table[names] = entry
         return entry
-
-
-def _identity(arr: np.ndarray) -> np.ndarray:
-    return arr
 
 
 def wrap_raw_backend(
@@ -107,17 +127,14 @@ def wrap_raw_backend(
     raw_run_dynamics,
     raw_golden_quad,
     *,
-    convert=None,
+    convert,
 ) -> KernelBackend:
     """Build a :class:`KernelBackend` from raw flat-argument kernels.
 
     Args:
-        convert: Per-array argument conversion (e.g. array -> raw data
-            pointer for the ctypes provider).  ``None`` passes arrays
-            through untouched (the numba provider).
+        convert: Per-array argument conversion (array -> raw data
+            pointer for the ctypes slots).
     """
-    convert = convert or _identity
-
     def _cache(state: DecomposedState) -> _StateCache:
         cache = getattr(state, "_kernel_arg_cache", None)
         if cache is None or cache.convert is not convert:
@@ -128,7 +145,7 @@ def wrap_raw_backend(
     def gap_sweep(state: DecomposedState):
         cache = _cache(state)
         f = cache.field
-        adj, t, bvals = cache.scratch()
+        adj, t, bvals = cache.buffers(("adj", "t", "bvals"))
         best = np.empty(state.num_players)
         raw_gap_sweep(
             state.num_players, state.num_bs, state.num_servers,
@@ -146,7 +163,7 @@ def wrap_raw_backend(
     def run_dynamics(state: DecomposedState, gaps, slack, max_iter):
         cache = _cache(state)
         f = cache.field
-        adj, t, bvals = cache.scratch()
+        dyn, server_map = cache.buffers(("dyn", "server_map"))
         if not gaps.flags.c_contiguous:
             raise ValueError("gaps must be C-contiguous")
         converged = np.zeros(1, dtype=np.int64)
@@ -167,7 +184,7 @@ def wrap_raw_backend(
             f(state, "pa_cur"), f(state, "pc_cur"),
             f(state, "sq_access"), f(state, "sq_front"),
             f(state, "sq_compute"),
-            adj, t, bvals,
+            dyn, server_map,
             convert(converged),
         )
         return int(moves), bool(converged[0])

@@ -6,7 +6,7 @@ best-response dynamics of
 :class:`~repro.solvers.fast_engine.FastBestResponseEngine`, and the
 golden-section search of P2-B) are expressed here as a narrow set of
 pure array functions over a flat struct-of-arrays state.  Each backend
-(:mod:`repro.kernels.numpy_backend`, the numba/C ``jit`` backends)
+(:mod:`repro.kernels.numpy_backend`, the C-provided ``jit`` backend)
 provides the same functions with bit-identical IEEE semantics; the NumPy
 implementation is the oracle every other backend is tested against.
 
@@ -118,9 +118,8 @@ class KernelBackend:
 
     Attributes:
         name: Public backend name (``"numpy"`` or ``"jit"``).
-        provider: What actually runs underneath: ``"numpy"``,
-            ``"numba"`` (njit kernels), or ``"cc"`` (ctypes-loaded C
-            kernels compiled at first use).
+        provider: What actually runs underneath: ``"numpy"`` or
+            ``"cc"`` (ctypes-loaded C kernels compiled at first use).
         candidate_costs: ``(wa, wf, wc, pa, pf, pc, la, lf, lc) ->
             costs`` -- flat candidate-cost evaluation, the expression
             tree of the scalar best response.
@@ -131,10 +130,13 @@ class KernelBackend:
             ``state.nidx`` / ``state.kbest``.
         run_dynamics: ``(state, gaps, slack, max_iter) -> (moves,
             converged)`` -- the fused best-response loop (argmax pick,
-            move, full sweep, gap update per iteration), mutating the
-            game through *state*.  ``None`` when the backend has no
-            fused loop (the engine then drives ``gap_sweep`` from
-            Python).
+            move, gap refresh per iteration), mutating the game through
+            *state* and leaving ``gaps``, ``nidx`` and ``kbest`` as a
+            full sweep after every move would.  How it refreshes is the
+            backend's business (the C loop updates incrementally);
+            the engine counts the reference dynamics' logical work
+            either way.  ``None`` when the backend has no fused loop
+            (the engine then drives ``gap_sweep`` from Python).
         golden_quad: ``(lo, hi, ls, ep, scale, qa, qb, qc, tol,
             max_iter) -> (x, evals)`` -- per-lane golden-section search
             on ``f(x) = ls/x + ep * (scale * (qa x^2 + qb x + qc))``,

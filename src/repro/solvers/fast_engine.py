@@ -225,11 +225,13 @@ class FastBestResponseEngine:
         if selection == "max_gap" and self._full_refresh and not record_history:
             # A kernel backend with a fused loop (the jit backend's
             # native run_dynamics) replaces the whole Python iteration:
-            # same argmax pick, same move, same full refresh, same
-            # final state -- the stats are reconstructed from the move
-            # count (one sweep, n gap recomputations, and the full
+            # same argmax pick, same move, same gaps and argmins after
+            # every move, same final state.  The native loop refreshes
+            # incrementally, but the stats count the dynamics' logical
+            # work: one sweep, n gap recomputations and the full
             # candidate count per move, exactly what _refresh(None)
-            # would have accumulated).
+            # accumulates on the NumPy path, so counters stay equal
+            # across backends.
             kernels = getattr(game, "kernels", None)
             if (
                 kernels is not None

@@ -82,19 +82,30 @@ class EngineStats:
     just wall-clock: a faster engine should show fewer gap
     recomputations and candidate evaluations for the same move sequence.
 
+    ``sweeps``, ``gap_recomputations`` and ``candidate_evaluations``
+    count the logical work of the dynamics an engine replays, not the
+    work of the kernel underneath.  For the decomposed evaluator's full refresh that
+    is ``I`` players and all their candidates per move on every kernel
+    backend -- the native ``run_dynamics`` refreshes incrementally yet
+    reports the same numbers -- so the counters match across backends
+    (the cross-backend parity tests and the benchmark's counter checks
+    rely on it).
+
     Attributes:
         moves: Unilateral moves applied (same as the result's
             ``iterations``).
         sweeps: Gap-refresh passes performed (one per applied move plus
             the initial full sweep); both engines count them the same
             way, so sweep counts are comparable across engines.
-        gap_recomputations: Player best-response evaluations performed.
-            The naive engine recomputes every player each iteration
-            (``I * (moves + 1)`` in total); the incremental engine only
-            the players affected by the previous move.
-        candidate_evaluations: Total candidate strategies scored across
-            all gap recomputations (``sum |Z_i|`` over recomputed
-            players); 0 when the game cannot report strategy-set sizes.
+        gap_recomputations: Player best-response evaluations of the
+            replayed dynamics.  The naive engine recomputes every player
+            each iteration (``I * (moves + 1)`` in total); the
+            incremental engine only the players affected by the
+            previous move, or every player when the game prefers a
+            full refresh.
+        candidate_evaluations: Candidate strategies those evaluations
+            cover (``sum |Z_i|`` over recomputed players); 0 when the
+            game cannot report strategy-set sizes.
         setup_seconds: Wall-clock spent building engine state (initial
             full gap sweep included).
         eval_seconds: Wall-clock spent recomputing gaps/best responses.
