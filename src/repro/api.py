@@ -84,7 +84,7 @@ _DEFAULT_Z = {"dpp": 3, "bdma": 3, "mcba": 1, "ropt": 1, "greedy": 1, "fixed": 1
 #: Extra construction knobs each controller family accepts via
 #: ``**params`` (beyond :func:`make_controller`'s named keywords).
 _DPP_KNOBS = frozenset(
-    {"warm_start", "carry_over", "freq_carry_over", "resilience", "overload"}
+    {"warm_start", "carry_over", "resilience", "overload"}
 )
 _FAMILY_KNOBS: "dict[str, frozenset[str]]" = {
     "dpp": _DPP_KNOBS,
@@ -318,11 +318,9 @@ class CellConfig:
         partition_restarts: K-means restarts when partitioning.
         balance_weight: Weight of the workload-balance term in the
             partition score.
-        timeout_seconds: Per-epoch-job deadline on the pooled path.
-        max_retries: Retries per (cell, epoch) job after a failure.
-        runtime: Pooled execution runtime -- ``"resident"`` (stateful
-            long-lived workers, the default) or ``"legacy"`` (one
-            process pool job per cell per epoch).
+        timeout_seconds: Per-epoch worker silence deadline with
+            ``processes > 1`` (the hung-worker watchdog).
+        max_retries: Retries per worker and epoch after a failure.
         shared_states: Ship compiled slot states to resident workers
             through shared memory (``None`` = automatic: on whenever
             the scenario's state stream supports parent-side
@@ -343,7 +341,6 @@ class CellConfig:
     balance_weight: float = 1.0
     timeout_seconds: float | None = None
     max_retries: int = 2
-    runtime: str = "resident"
     shared_states: bool | None = None
     carry_every: int | None = None
 
@@ -497,7 +494,6 @@ def _run_sharded_path(
         processes=cfg.processes,
         timeout_seconds=cfg.timeout_seconds,
         max_retries=cfg.max_retries,
-        runtime=cfg.runtime,
         shared_states=cfg.shared_states,
         carry_every=cfg.carry_every,
         tracer=tracer,

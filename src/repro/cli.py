@@ -90,7 +90,6 @@ def _run_config_from(args: argparse.Namespace) -> repro.RunConfig:
             epoch=args.cell_epoch,
             processes=args.cell_processes,
             coordinator=args.coordinator,
-            runtime=args.cell_runtime,
         )
     params: dict[str, object] = {}
     if args.solver == "fixed":
@@ -418,7 +417,6 @@ def _telemetry_run(args: argparse.Namespace) -> MetricsRegistry:
         cells = repro.CellConfig(
             count=args.cells,
             processes=args.cell_processes,
-            runtime=args.cell_runtime,
         )
     repro.api.run(
         scenario=scenario,
@@ -552,11 +550,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--cell-processes", type=int, default=None,
                      help="worker processes for cell execution "
                           "(default: sequential in-process)")
-    sim.add_argument("--cell-runtime", choices=("resident", "legacy"),
-                     default="resident",
-                     help="pooled execution runtime: resident stateful "
-                          "workers (default) or the legacy per-epoch "
-                          "process pool")
     sim.add_argument("--coordinator", choices=("proportional", "static"),
                      default="proportional",
                      help="budget re-split policy across cells")
@@ -642,9 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="shard into this many cells (1 = unsharded)")
         p.add_argument("--cell-processes", type=int, default=None,
                        help="worker processes for cell execution")
-        p.add_argument("--cell-runtime", choices=("resident", "legacy"),
-                       default="resident",
-                       help="pooled execution runtime")
 
     metrics = sub.add_parser(
         "metrics", help="run with telemetry and export OpenMetrics"

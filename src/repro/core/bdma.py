@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
 from repro.core.cgba import solve_p2a_cgba
 from repro.core.drift_penalty import energy_cost
 from repro.core.latency import optimal_total_latency
-from repro.core.p2b import _BATCH_CUTOVER, solve_p2b
+from repro.core.p2b import solve_p2b
 from repro.core.state import Assignment, SlotState
 from repro.exceptions import ConfigurationError, DeadlineError
 from repro.kernels import KernelBackend
@@ -180,8 +180,6 @@ def solve_p2_bdma(
     p2a_solver: P2ASolver | None = None,
     warm_start: bool = True,
     initial: Assignment | None = None,
-    initial_frequencies: FloatArray | None = None,
-    warm_brackets: bool = False,
     tracer: "Tracer | None" = None,
     deadline: float | None = None,
     backend: "KernelBackend | str | None" = None,
@@ -206,20 +204,6 @@ def solve_p2_bdma(
         initial: Seed the *first* round's P2-A solve with this
             assignment (e.g. the previous slot's decision); only used
             when ``warm_start`` is enabled.
-        initial_frequencies: Start the alternation from these clocks
-            instead of Algorithm 2's ``Omega^L`` (e.g. the previous
-            slot's optimum).  Changes round 1's P2-A landscape, so the
-            trajectory is *not* bit-identical to the literal algorithm
-            -- it reaches an equally good alternation fixed point, just
-            along a shorter path.  Leave ``None`` for exact
-            reproducibility.
-        warm_brackets: Seed each round's P2-B golden-section search with
-            the previous round's frequencies (``bracket_hint``); the
-            optima agree with the cold search to the search tolerance
-            but not bit for bit.  Leave ``False`` for exact
-            reproducibility.  Ignored below the batch cutover fleet
-            size, where the plain scalar loop beats any bracket
-            narrowing (``bracket_hint`` is a batch-path feature).
         tracer: Observability tracer; when enabled, every round's P2-A
             and P2-B solve runs inside ``p2a``/``p2b`` spans, and the
             counters ``bdma.rounds`` (alternation rounds actually
@@ -265,77 +249,6 @@ def solve_p2_bdma(
         returned decision and ``objective_history`` are bit-identical to
         running all ``z`` rounds, only the engine work counters shrink.
     """
-    return drive_p2b(
-        bdma_request_stream(
-            network,
-            state,
-            space,
-            rng,
-            queue_backlog=queue_backlog,
-            v=v,
-            budget=budget,
-            z=z,
-            p2a_solver=p2a_solver,
-            warm_start=warm_start,
-            initial=initial,
-            initial_frequencies=initial_frequencies,
-            warm_brackets=warm_brackets,
-            tracer=tracer,
-            deadline=deadline,
-            backend=backend,
-        )
-    )
-
-
-def drive_p2b(stream):
-    """Run a P2-B request stream to completion, one solve at a time.
-
-    *stream* is a generator that yields :func:`~repro.core.p2b.solve_p2b`
-    keyword dicts, receives the resulting frequencies back, and returns
-    its final value -- the protocol produced by
-    :func:`bdma_request_stream` and
-    :meth:`repro.core.controller.DPPController.step_requests`.  This
-    driver is the sequential interpreter; lockstep drivers
-    (:mod:`repro.sim.batched`) advance several streams together and fuse
-    their P2-B searches into one kernel invocation instead.
-    """
-    try:
-        request = next(stream)
-        while True:
-            request = stream.send(solve_p2b(**request))
-    except StopIteration as stop:
-        return stop.value
-
-
-def bdma_request_stream(
-    network: MECNetwork,
-    state: SlotState,
-    space: StrategySpace,
-    rng: Rng,
-    *,
-    queue_backlog: float,
-    v: float,
-    budget: float,
-    z: int = 5,
-    p2a_solver: P2ASolver | None = None,
-    warm_start: bool = True,
-    initial: Assignment | None = None,
-    initial_frequencies: FloatArray | None = None,
-    warm_brackets: bool = False,
-    tracer: "Tracer | None" = None,
-    deadline: float | None = None,
-    backend: "KernelBackend | str | None" = None,
-):
-    """Generator form of :func:`solve_p2_bdma` (same arguments).
-
-    Yields one :func:`~repro.core.p2b.solve_p2b` keyword dict per
-    alternation round, expects the resulting frequency array to be sent
-    back, and returns the :class:`BDMAResult`.  Driving it with
-    :func:`drive_p2b` *is* ``solve_p2_bdma``; batched replication drives
-    several streams in lockstep so their P2-B searches can share one
-    kernel call (bit-identical either way -- the search lanes are
-    independent).
-    """
     if z < 1:
         raise ConfigurationError(f"z must be a positive integer, got {z}")
     if v <= 0.0:
@@ -352,12 +265,7 @@ def bdma_request_stream(
     if callable(pop_stats):
         pop_stats()  # discard counters accumulated by earlier callers
 
-    if initial_frequencies is None:
-        frequencies = network.freq_min.copy()  # Omega^L (Algorithm 2, line 1)
-        hint_ready = False
-    else:
-        frequencies = np.asarray(initial_frequencies, dtype=np.float64).copy()
-        hint_ready = True  # a carried-over optimum is a meaningful hint
+    frequencies = network.freq_min.copy()  # Omega^L (Algorithm 2, line 1)
     best_objective = float("inf")
     best_assignment: Assignment | None = None
     best_frequencies = frequencies.copy()
@@ -370,7 +278,6 @@ def bdma_request_stream(
     )
     warm_hits = 0
     rounds_run = 0
-    use_hints = warm_brackets and network.num_servers >= _BATCH_CUTOVER
 
     truncated = False
     for round_idx in range(z):
@@ -411,17 +318,15 @@ def bdma_request_stream(
                 history.extend([history[-1]] * remaining)
                 break
         with tracer.span("p2b"):
-            frequencies = yield dict(
-                network=network,
-                state=state,
-                assignment=assignment,
+            frequencies = solve_p2b(
+                network,
+                state,
+                assignment,
                 queue_backlog=queue_backlog,
                 v=v,
-                bracket_hint=frequencies if (use_hints and hint_ready) else None,
                 tracer=tracer,
                 backend=backend,
             )
-        hint_ready = True
         # dpp_objective's arithmetic, with the latency and cost terms
         # kept so the winning round's values ride along in the result
         # (the controller reports both; recomputing them per slot would

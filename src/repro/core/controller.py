@@ -16,12 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.core.allocation import optimal_allocation
-from repro.core.bdma import (
-    P2ASolver,
-    bdma_request_stream,
-    cgba_p2a_solver,
-    drive_p2b,
-)
+from repro.core.bdma import P2ASolver, cgba_p2a_solver, solve_p2_bdma
 from repro.core.budget import BudgetSchedule, as_schedule
 from repro.core.overload import OverloadPolicy, shed_tasks
 from repro.core.resilience import (
@@ -219,15 +214,6 @@ class DPPController(OnlineController):
             slot's assignment.  System states evolve smoothly, so the
             previous equilibrium is a near-optimal start; disable for the
             literal Algorithm 1 (fresh random profile every slot).
-        freq_carry_over: Also start each slot's BDMA alternation from
-            the previous slot's optimal clocks instead of ``Omega^L``,
-            and warm-start the P2-B bracket searches from the previous
-            round's frequencies.  Unlike ``carry_over`` (which is
-            bit-exact given the same rng draws), this changes the
-            alternation path: the per-slot decisions agree with the
-            cold start only up to the alternation's fixed point and the
-            scalar-search tolerance, not bit for bit.  Off by default;
-            enable for throughput benchmarking.
         tracer: Observability tracer (:class:`repro.obs.Probe` to
             record, ``None``/:data:`repro.obs.NULL_TRACER` to disable).
             When enabled, every step is wrapped in a ``slot`` span with
@@ -268,7 +254,6 @@ class DPPController(OnlineController):
         initial_backlog: float = 0.0,
         warm_start: bool = True,
         carry_over: bool = True,
-        freq_carry_over: bool = False,
         tracer: "Tracer | None" = None,
         resilience: ResiliencePolicy | None = None,
         overload: OverloadPolicy | None = None,
@@ -286,7 +271,6 @@ class DPPController(OnlineController):
         self.p2a_solver = p2a_solver
         self.warm_start = bool(warm_start)
         self.carry_over = bool(carry_over)
-        self.freq_carry_over = bool(freq_carry_over)
         self.tracer = as_tracer(tracer)
         self.resilience = resilience
         self.overload = overload
@@ -326,7 +310,6 @@ class DPPController(OnlineController):
         self._space: StrategySpace | None = None
         self._space_reused = False
         self._previous: Assignment | None = None
-        self._previous_freqs: FloatArray | None = None
         # Last accepted decision, kept regardless of the carry-over
         # knobs: it feeds the fallback chain's last-known-good tier.
         self._last_assignment: Assignment | None = None
@@ -361,19 +344,6 @@ class DPPController(OnlineController):
         return self._space
 
     def step(self, state: SlotState) -> SlotRecord:
-        return drive_p2b(self.step_requests(state))
-
-    def step_requests(self, state: SlotState):
-        """Generator form of :meth:`step` for lockstep batch drivers.
-
-        Yields :func:`~repro.core.p2b.solve_p2b` keyword dicts (the
-        slot's BDMA rounds), expects the frequency arrays sent back, and
-        returns the :class:`SlotRecord`.  Driving it with
-        :func:`~repro.core.bdma.drive_p2b` is exactly ``step``; the
-        batched replication runner advances several controllers'
-        streams together so their P2-B searches share one kernel call.
-        Bit-identical to ``step`` either way.
-        """
         tracer = self.tracer
         policy = self.resilience
         with tracer.span("slot"):
@@ -453,7 +423,7 @@ class DPPController(OnlineController):
                         raise InjectedFaultError(
                             f"chaos: injected solver failure at slot {state.t}"
                         )
-                    result = yield from bdma_request_stream(
+                    result = solve_p2_bdma(
                         self.network,
                         effective,
                         space,
@@ -465,10 +435,6 @@ class DPPController(OnlineController):
                         p2a_solver=self.p2a_solver,
                         warm_start=self.warm_start,
                         initial=self._previous if self.carry_over else None,
-                        initial_frequencies=(
-                            self._previous_freqs if self.freq_carry_over else None
-                        ),
-                        warm_brackets=self.freq_carry_over,
                         tracer=tracer,
                         deadline=deadline,
                         backend=self.engine_backend,
@@ -497,8 +463,6 @@ class DPPController(OnlineController):
             solve_seconds = time.perf_counter() - started
             if self.carry_over:
                 self._previous = result.assignment
-            if self.freq_carry_over:
-                self._previous_freqs = result.frequencies
             self._last_assignment = result.assignment
             self._last_frequencies = result.frequencies
 
@@ -544,7 +508,6 @@ class DPPController(OnlineController):
         self._space = None
         self._space_reused = False
         self._previous = None
-        self._previous_freqs = None
         self._last_assignment = None
         self._last_frequencies = None
         self._overloaded = False
@@ -553,8 +516,9 @@ class DPPController(OnlineController):
         """Serializable controller state (for checkpoint/resume).
 
         Captures everything :meth:`step` reads across slots: the virtual
-        queue backlog, the solver rng's bit-generator state, and the
-        carried-over assignment/frequencies.  The strategy-space cache is
+        queue backlog, the solver rng's bit-generator state, the
+        carried-over assignment, and the last accepted decision.  The
+        strategy-space cache is
         deliberately omitted -- it is rebuilt from the first resumed
         slot's coverage, and :meth:`repair` draws randomness only for
         infeasible entries, so a rebuild consumes no rng when coverage
@@ -573,14 +537,17 @@ class DPPController(OnlineController):
             "backlog": float(self.queue.backlog),
             "rng": self.rng.bit_generator.state,
             "previous": _assignment(self._previous),
-            "previous_freqs": _freqs(self._previous_freqs),
             "last_assignment": _assignment(self._last_assignment),
             "last_frequencies": _freqs(self._last_frequencies),
             "overload_active": bool(self._overloaded),
         }
 
     def load_state_dict(self, state: dict) -> None:
-        """Restore controller state captured by :meth:`state_dict`."""
+        """Restore controller state captured by :meth:`state_dict`.
+
+        Unknown keys are ignored, so checkpoints written by older
+        versions (which also stored ``previous_freqs``) still resume.
+        """
 
         def _assignment(data: dict | None) -> Assignment | None:
             if data is None:
@@ -596,7 +563,6 @@ class DPPController(OnlineController):
         self.queue = VirtualQueue(float(state["backlog"]), tracer=self.tracer)
         self.rng.bit_generator.state = state["rng"]
         self._previous = _assignment(state.get("previous"))
-        self._previous_freqs = _freqs(state.get("previous_freqs"))
         self._last_assignment = _assignment(state.get("last_assignment"))
         self._last_frequencies = _freqs(state.get("last_frequencies"))
         self._overloaded = bool(state.get("overload_active", False))

@@ -21,8 +21,6 @@ call at N=16 on the paper scenario).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.core.latency import server_load_roots
@@ -53,8 +51,6 @@ def solve_p2b(
     v: float,
     tol: float = 1e-8,
     method: str = "auto",
-    bracket_hint: FloatArray | None = None,
-    bracket_margin: float = 0.25,
     tracer: "Tracer | None" = None,
     backend: "KernelBackend | str | None" = None,
 ) -> FloatArray:
@@ -74,16 +70,6 @@ def solve_p2b(
             for fleets of 64+ servers, scalar below, where Python loop
             overhead is smaller than numpy dispatch overhead).  All
             three produce bit-identical frequencies.
-        bracket_hint: Optional per-server warm-start frequencies (e.g.
-            the previous BDMA round's ``Omega``).  The search then runs
-            on a narrowed bracket around the hint first and falls back
-            to the full box for any server whose narrowed optimum lands
-            on an artificial bracket edge -- convexity makes the result
-            equal to the cold search up to ``tol``, but *not* bit-exact,
-            so callers wanting exact reproducibility must leave this
-            ``None``.  Batch method only.
-        bracket_margin: Half-width of the warm bracket as a fraction of
-            the full box width.
         tracer: Observability tracer; when enabled, emits
             ``p2b.scalar_solves`` / ``p2b.fastpath`` counters telling
             how many servers needed the golden-section search versus the
@@ -114,11 +100,7 @@ def solve_p2b(
     if method not in ("auto", "batch", "scalar"):
         raise ValueError(f"unknown method: {method!r}")
     if method == "auto":
-        # bracket_hint is a batch-only feature, so it forces that path.
-        if bracket_hint is None and network.num_servers < _BATCH_CUTOVER:
-            method = "scalar"
-        else:
-            method = "batch"
+        method = "scalar" if network.num_servers < _BATCH_CUTOVER else "batch"
     roots = server_load_roots(network, state, assignment)
     demand = roots * roots  # A_n
     energy_pressure = queue_backlog * state.price
@@ -143,65 +125,53 @@ def solve_p2b(
             network, state, demand, energy_pressure, v, tol, tracer
         )
 
-    lo = network.freq_min
-    hi = network.freq_max
-    frequencies = lo.copy()
-    if state.available_servers is None:
-        online = np.ones(network.num_servers, dtype=bool)
-    else:
-        online = np.asarray(state.available_servers, dtype=bool)
-    # Fast paths as masks, in the scalar loop's precedence order:
-    # offline -> F^L, idle -> F^L, zero energy pressure -> F^U.
-    loaded = online & (demand > 0.0)
-    if energy_pressure <= 0.0:
-        frequencies[loaded] = hi[loaded]
-        servers = np.empty(0, dtype=np.int64)
-    else:
-        servers = np.flatnonzero(loaded)
-
+    frequencies, servers, latency_scale = _search_lanes(
+        network, state, demand, energy_pressure, v
+    )
     batch_iters = 0
     if servers.size:
-        # speed(omega) is linear in omega, so V A / speed = scale / omega.
-        speed_one = network.speed_scale[servers] * 1.0 * 1e9
-        latency_scale = v * demand[servers] / speed_one
-        search_kernels = kernels if native else None
-        lo_s, hi_s = lo[servers], hi[servers]
-        if bracket_hint is None:
-            best, batch_iters = _golden_search(
-                search_kernels, network, servers, latency_scale,
-                energy_pressure, lo_s, hi_s, tol,
-            )
-            frequencies[servers] = best
-        else:
-            hint = np.clip(np.asarray(bracket_hint, dtype=np.float64)[servers],
-                           lo_s, hi_s)
-            span = bracket_margin * (hi_s - lo_s)
-            lo_w = np.maximum(lo_s, hint - span)
-            hi_w = np.minimum(hi_s, hint + span)
-            best, batch_iters = _golden_search(
-                search_kernels, network, servers, latency_scale,
-                energy_pressure, lo_w, hi_w, tol,
-            )
-            # A minimum on an artificial bracket edge may be a false
-            # boundary optimum; rerun those lanes on the full box.
-            redo = ((best == lo_w) & (lo_w > lo_s)) | ((best == hi_w) & (hi_w < hi_s))
-            if np.any(redo):
-                idx = np.flatnonzero(redo)
-                retry_x, retry_iters = _golden_search(
-                    search_kernels, network, servers[idx],
-                    latency_scale[idx], energy_pressure,
-                    lo_s[idx], hi_s[idx], tol,
-                )
-                best = best.copy()
-                best[idx] = retry_x
-                batch_iters += retry_iters
-            frequencies[servers] = best
+        best, batch_iters = _golden_search(
+            kernels, network, servers, latency_scale, energy_pressure,
+            network.freq_min[servers], network.freq_max[servers], tol,
+        )
+        frequencies[servers] = best
 
     if tracer.enabled:
         tracer.counter("p2b.scalar_solves", int(servers.size))
         tracer.counter("p2b.fastpath", network.num_servers - int(servers.size))
         tracer.counter("p2b.batch_iters", batch_iters)
     return frequencies
+
+
+def _search_lanes(
+    network: MECNetwork,
+    state: SlotState,
+    demand: FloatArray,
+    energy_pressure: float,
+    v: float,
+) -> tuple[FloatArray, np.ndarray, FloatArray]:
+    """The closed-form fast paths as masks, and the lanes left to search.
+
+    Returns ``(frequencies, servers, latency_scale)``: frequencies with
+    every fast path applied in the scalar loop's precedence order
+    (offline -> F^L, idle -> F^L, zero energy pressure -> F^U), the
+    indices of the servers that still need the golden-section search,
+    and their latency coefficients ``V A_n / speed_n(1)``.
+    """
+    frequencies = network.freq_min.copy()
+    if state.available_servers is None:
+        online = np.ones(network.num_servers, dtype=bool)
+    else:
+        online = np.asarray(state.available_servers, dtype=bool)
+    loaded = online & (demand > 0.0)
+    if energy_pressure <= 0.0:
+        frequencies[loaded] = network.freq_max[loaded]
+        servers = np.empty(0, dtype=np.int64)
+    else:
+        servers = np.flatnonzero(loaded)
+    # speed(omega) is linear in omega, so V A / speed = scale / omega.
+    speed_one = network.speed_scale[servers] * 1.0 * 1e9
+    return frequencies, servers, v * demand[servers] / speed_one
 
 
 def _as_scaled_quadratic(model) -> tuple[float, float, float, float] | None:
@@ -270,7 +240,7 @@ def _quad_columns(
 
 
 def _golden_search(
-    kernels: "KernelBackend | None",
+    kernels: KernelBackend,
     network: MECNetwork,
     servers: np.ndarray,
     latency_scale: FloatArray,
@@ -286,7 +256,7 @@ def _golden_search(
     batch search, including the evaluation counts -- and the NumPy
     search otherwise.
     """
-    if kernels is not None and kernels.golden_quad is not None:
+    if kernels.golden_quad is not None:
         cols = _quad_columns(network, servers)
         if cols is not None:
             scale, a, b, c = cols
@@ -315,36 +285,26 @@ def _solve_p2b_scalar_native(
 ) -> tuple[FloatArray, int] | None:
     """The scalar method's result via the native golden kernel.
 
-    Applies the scalar loop's fast paths as masks (the batch path's
-    construction, itself bit-identical to the loop) and hands every lane
-    that needs the search to ``golden_quad`` in one call.  Returns
+    Applies the scalar loop's fast paths as masks (:func:`_search_lanes`,
+    itself bit-identical to the loop) and hands every lane that needs
+    the search to ``golden_quad`` in one call.  Returns
     ``(frequencies, searched_lanes)``, or ``None`` when any searched
     lane has a non-quadratic energy model (the caller then runs the
     Python loop, which handles arbitrary models).
     """
-    lo = network.freq_min
-    hi = network.freq_max
-    frequencies = lo.copy()
-    if state.available_servers is None:
-        online = np.ones(network.num_servers, dtype=bool)
-    else:
-        online = np.asarray(state.available_servers, dtype=bool)
-    loaded = online & (demand > 0.0)
-    if energy_pressure <= 0.0:
-        frequencies[loaded] = hi[loaded]
-        return frequencies, 0
-    servers = np.flatnonzero(loaded)
+    frequencies, servers, latency_scale = _search_lanes(
+        network, state, demand, energy_pressure, v
+    )
     if servers.size == 0:
         return frequencies, 0
     cols = _quad_columns(network, servers)
     if cols is None:
         return None
     scale, a, b, c = cols
-    speed_one = network.speed_scale[servers] * 1.0 * 1e9
-    latency_scale = v * demand[servers] / speed_one
     ep = np.full(servers.size, energy_pressure)
     x, _ = kernels.golden_quad(
-        lo[servers], hi[servers], latency_scale, ep, scale, a, b, c, tol
+        network.freq_min[servers], network.freq_max[servers],
+        latency_scale, ep, scale, a, b, c, tol,
     )
     frequencies[servers] = x
     return frequencies, int(servers.size)
@@ -433,165 +393,3 @@ def _solve_p2b_scalar(
         tracer.counter("p2b.scalar_solves", scalar_solves)
         tracer.counter("p2b.fastpath", network.num_servers - scalar_solves)
     return frequencies
-
-@dataclass
-class _FusedLanes:
-    """One request's contribution to a fused ``golden_quad`` call."""
-
-    frequencies: FloatArray  # output array, fast paths already applied
-    servers: np.ndarray  # lanes that need the search
-    lo: FloatArray
-    hi: FloatArray
-    latency_scale: FloatArray
-    ep: FloatArray
-    scale: FloatArray
-    qa: FloatArray
-    qb: FloatArray
-    qc: FloatArray
-    method: str  # resolved method, for counter parity
-    tracer: Tracer
-    kernels: KernelBackend
-    tol: float
-    num_servers: int
-
-
-def _fuse_prep(
-    network: MECNetwork,
-    state: SlotState,
-    assignment: Assignment,
-    *,
-    queue_backlog: float,
-    v: float,
-    tol: float = 1e-8,
-    method: str = "auto",
-    bracket_hint: FloatArray | None = None,
-    bracket_margin: float = 0.25,
-    tracer: "Tracer | None" = None,
-    backend: "KernelBackend | str | None" = None,
-) -> _FusedLanes | None:
-    """The search-prologue of :func:`solve_p2b`, packaged for fusion.
-
-    Returns ``None`` when the request cannot join a fused kernel call --
-    no native ``golden_quad``, a bracket hint (its redo loop is
-    data-dependent), or a non-quadratic energy model on a searched lane
-    -- in which case the caller solves it solo.  The returned lanes
-    reproduce the solo call's masks, brackets, and coefficient columns
-    exactly, so concatenating them with other requests' lanes cannot
-    change any lane's arithmetic.
-    """
-    if bracket_hint is not None or method not in ("auto", "batch", "scalar"):
-        return None
-    kernels = get_kernels(backend)
-    if kernels.golden_quad is None:
-        return None
-    if method == "auto":
-        method = "scalar" if network.num_servers < _BATCH_CUTOVER else "batch"
-    roots = server_load_roots(network, state, assignment)
-    demand = roots * roots
-    energy_pressure = queue_backlog * state.price
-    lo = network.freq_min
-    hi = network.freq_max
-    frequencies = lo.copy()
-    if state.available_servers is None:
-        online = np.ones(network.num_servers, dtype=bool)
-    else:
-        online = np.asarray(state.available_servers, dtype=bool)
-    loaded = online & (demand > 0.0)
-    if energy_pressure <= 0.0:
-        frequencies[loaded] = hi[loaded]
-        servers = np.empty(0, dtype=np.int64)
-    else:
-        servers = np.flatnonzero(loaded)
-    if servers.size:
-        cols = _quad_columns(network, servers)
-        if cols is None:
-            return None
-        scale, qa, qb, qc = cols
-        speed_one = network.speed_scale[servers] * 1.0 * 1e9
-        latency_scale = v * demand[servers] / speed_one
-    else:
-        empty = np.empty(0)
-        scale = qa = qb = qc = latency_scale = empty
-    return _FusedLanes(
-        frequencies=frequencies,
-        servers=servers,
-        lo=lo[servers],
-        hi=hi[servers],
-        latency_scale=latency_scale,
-        ep=np.full(servers.size, energy_pressure),
-        scale=scale,
-        qa=qa,
-        qb=qb,
-        qc=qc,
-        method=method,
-        tracer=as_tracer(tracer),
-        kernels=kernels,
-        tol=tol,
-        num_servers=network.num_servers,
-    )
-
-
-def solve_p2b_many(requests: "list[dict]") -> "list[FloatArray]":
-    """Solve several independent P2-B instances, fused where possible.
-
-    Args:
-        requests: :func:`solve_p2b` keyword dicts, e.g. as yielded by
-            :func:`repro.core.bdma.bdma_request_stream` -- typically one
-            per replication seed advancing in lockstep.
-
-    Returns:
-        The frequency arrays in request order, each bit-identical to
-        ``solve_p2b(**request)`` run alone.
-
-    Requests that would run the un-hinted search on a native
-    ``golden_quad`` kernel are stacked -- all their server lanes in one
-    kernel invocation per distinct ``(backend, tol)`` -- which is what
-    makes cross-seed batched replication cheaper than R solo runs.
-    The kernel treats lanes independently, so fusion cannot change any
-    lane's result; per-request counters (``p2b.scalar_solves`` /
-    ``p2b.fastpath`` / ``p2b.batch_iters``) are emitted to each
-    request's own tracer exactly as the solo call would.  Requests that
-    cannot fuse (numpy backend, bracket hints, non-quadratic energy
-    models) fall back to a plain :func:`solve_p2b` call.
-    """
-    out: "list[FloatArray | None]" = [None] * len(requests)
-    groups: dict = {}
-    for idx, request in enumerate(requests):
-        prep = _fuse_prep(**request)
-        if prep is None:
-            out[idx] = solve_p2b(**request)
-        else:
-            groups.setdefault((id(prep.kernels), prep.tol), []).append(
-                (idx, prep)
-            )
-    for members in groups.values():
-        lanes = [prep for _, prep in members]
-        sizes = [int(prep.servers.size) for prep in lanes]
-        if sum(sizes):
-            x_all, evals_all = lanes[0].kernels.golden_quad(
-                np.concatenate([p.lo for p in lanes]),
-                np.concatenate([p.hi for p in lanes]),
-                np.concatenate([p.latency_scale for p in lanes]),
-                np.concatenate([p.ep for p in lanes]),
-                np.concatenate([p.scale for p in lanes]),
-                np.concatenate([p.qa for p in lanes]),
-                np.concatenate([p.qb for p in lanes]),
-                np.concatenate([p.qc for p in lanes]),
-                lanes[0].tol,
-            )
-        else:
-            x_all = np.empty(0)
-            evals_all = np.empty(0, dtype=np.int64)
-        offset = 0
-        for (idx, prep), size in zip(members, sizes):
-            prep.frequencies[prep.servers] = x_all[offset : offset + size]
-            evals = evals_all[offset : offset + size]
-            offset += size
-            tracer = prep.tracer
-            if tracer.enabled:
-                tracer.counter("p2b.scalar_solves", size)
-                tracer.counter("p2b.fastpath", prep.num_servers - size)
-                if prep.method == "batch":
-                    tracer.counter("p2b.batch_iters", int(evals.sum()))
-            out[idx] = prep.frequencies
-    return out

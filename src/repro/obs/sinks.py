@@ -193,8 +193,8 @@ class JsonlSink:
         """Push buffered lines to the OS now (safe after close).
 
         The sharded salvage path calls this (via
-        :meth:`repro.obs.probe.Probe.flush`) before retrying a
-        timed-out epoch job, so the trace on disk is whole-record
+        :meth:`repro.obs.probe.Probe.flush`) before rebuilding a
+        failed or hung worker, so the trace on disk is whole-record
         durable even if the parent dies during the retry.
         """
         if not self._fh.closed:

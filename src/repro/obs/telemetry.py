@@ -16,8 +16,9 @@ Three integration surfaces:
   into ``repro_alerts_total{monitor=,severity=}``.  Constant labels
   (e.g. ``cell="3"``) stamp every sample, so per-cell series never
   collide when merged.
-* snapshot/merge -- :meth:`MetricsRegistry.snapshot` is a picklable
-  value a pooled worker ships back with its epoch job;
+* snapshot/merge -- :meth:`MetricsRegistry.snapshot` (or the
+  incremental :meth:`MetricsRegistry.snapshot_delta` a resident worker
+  ships back with each epoch reply) is a picklable value;
   :meth:`MetricsRegistry.merge_snapshot` folds it into the parent's
   live registry (counters/histograms add; gauges keep the most recent
   value by a ``(generation, sequence)`` recency stamp, so out-of-order
@@ -414,7 +415,7 @@ class MetricsRegistry:
     # -- cross-process snapshot/merge -------------------------------------
 
     def snapshot(self) -> dict:
-        """A picklable value capturing every series (for epoch jobs)."""
+        """A picklable value capturing every series."""
         with self._lock:
             out: dict = {"counters": {}, "gauges": {}, "histograms": {}}
             for name, family in self._families.items():
@@ -456,10 +457,10 @@ class MetricsRegistry:
 
         This is the resident-worker flush path: a long-lived sharded
         worker keeps one registry for the whole run and ships one small
-        delta per epoch, instead of rebuilding a registry per epoch job
-        and shipping every series every time.  Each call advances
-        :attr:`flush_generation` (recorded in the delta under
-        ``"flush_generation"``; :meth:`merge_snapshot` ignores the key).
+        delta per epoch instead of shipping every series every time.
+        Each call advances :attr:`flush_generation` (recorded in the
+        delta under ``"flush_generation"``; :meth:`merge_snapshot`
+        ignores the key).
         """
         with self._lock:
             self._flush_generation += 1
@@ -538,11 +539,11 @@ class MetricsRegistry:
     ) -> None:
         """Fold a worker :meth:`snapshot` into this registry.
 
-        Counters and histograms *add* (worker registries are fresh per
-        epoch job, so their series are deltas); gauges keep whichever
-        value has the larger ``(generation, sequence)`` stamp.  Pass the
-        epoch ordinal as *generation* so later epochs win regardless of
-        the order their futures complete in.
+        Counters and histograms *add* (a worker ships deltas, so each
+        increment counts once); gauges keep whichever value has the
+        larger ``(generation, sequence)`` stamp.  Pass the epoch ordinal
+        as *generation* so later epochs win regardless of the order the
+        replies arrive in.
         """
         if not snap:
             return
@@ -912,7 +913,8 @@ def instrument_kernels(
 
 #: Process-global ``(registry, labels)`` pair consulted by
 #: :func:`maybe_instrument_kernels` at controller construction.  Set via
-#: :func:`telemetry_context`; workers install it per epoch job.
+#: :func:`telemetry_context`; each sharded cell installs it while its
+#: controller is built.
 _ACTIVE: "tuple[MetricsRegistry, dict] | None" = None
 
 

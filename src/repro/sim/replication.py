@@ -54,14 +54,6 @@ class ReplicationSpec:
         flaky_seeds: Seeds whose runs fail on their first attempt in
             each process and succeed on retry (transient-failure
             injection).
-        batch_seeds: Seeds run together in lockstep per dispatch (see
-            :mod:`repro.sim.batched`): their per-round P2-B searches are
-            fused into one kernel invocation, so a batch is cheaper than
-            ``batch_seeds`` solo runs while staying bit-identical to
-            them.  1 (the default) keeps the historical per-seed path;
-            ``"fixed"``-solver specs always run per seed (no BDMA loop
-            to fuse).  A lane that fails inside a batch is retried
-            *solo* through the usual retry machinery.
         engine_backend: Array-kernel backend (``"numpy"``/``"jit"``) for
             every run's controller; bit-identical across backends.
     """
@@ -77,7 +69,6 @@ class ReplicationSpec:
     network_overrides: tuple[tuple[str, object], ...] = ()
     fail_seeds: tuple[int, ...] = ()
     flaky_seeds: tuple[int, ...] = ()
-    batch_seeds: int = 1
     engine_backend: str = "numpy"
 
     def __post_init__(self) -> None:
@@ -85,8 +76,6 @@ class ReplicationSpec:
             raise ConfigurationError(f"unknown solver {self.solver!r}")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
-        if self.batch_seeds < 1:
-            raise ConfigurationError("batch_seeds must be >= 1")
         if self.engine_backend not in ("numpy", "jit"):
             raise ConfigurationError(
                 f"unknown engine backend {self.engine_backend!r}"
@@ -319,134 +308,6 @@ def _run_one(
     )
 
 
-def _run_batch(
-    spec: ReplicationSpec, seeds: "list[int] | tuple[int, ...]", trace_phases: bool
-) -> "list[tuple[int, ReplicationOutcome | None, Exception | None]]":
-    """Run a group of seeds in lockstep; one entry per seed, seed order.
-
-    Each entry is ``(seed, outcome, None)`` on success or ``(seed, None,
-    error)`` on failure.  Injection knobs fire per seed before the batch
-    launches, so ``fail_seeds`` / ``flaky_seeds`` behave exactly as on
-    the per-seed path.  Lane isolation is per seed inside the lockstep
-    loop; a driver-level failure that escapes it lands on every
-    unfinished seed (the caller retries those solo).
-    """
-    from repro.api import make_controller
-    from repro.sim.batched import LockstepLane, run_simulations_lockstep
-
-    outcomes: dict[int, ReplicationOutcome] = {}
-    errors: dict[int, Exception] = {}
-    lanes: list[LockstepLane] = []
-    lane_info: list[tuple[int, float, "Probe | None"]] = []
-    for seed in seeds:
-        try:
-            if seed in spec.fail_seeds:
-                raise SolverError(f"injected failure for seed {seed}")
-            if seed in spec.flaky_seeds:
-                _FLAKY_ATTEMPTS[seed] = _FLAKY_ATTEMPTS.get(seed, 0) + 1
-                if _FLAKY_ATTEMPTS[seed] == 1:
-                    raise SolverError(
-                        f"injected transient failure for seed {seed}"
-                    )
-            scenario = repro.make_paper_scenario(
-                seed=seed,
-                config=repro.ScenarioConfig(
-                    num_devices=spec.num_devices,
-                    workload=spec.workload,
-                    budget_fraction=spec.budget_fraction,
-                ),
-                **dict(spec.network_overrides),
-            )
-            probe = Probe() if trace_phases else None
-            controller = make_controller(
-                spec.solver,
-                scenario,
-                v=spec.v,
-                z=spec.z,
-                rng_label="replication",
-                equilibrium_rng_label="replication-eq",
-                warm_start_queue=spec.warm_start_queue,
-                tracer=probe,
-                engine_backend=spec.engine_backend,
-            )
-            lanes.append(
-                LockstepLane(
-                    controller=controller,
-                    states=scenario.fresh_compiled_states(
-                        spec.horizon, tracer=probe
-                    ),
-                    budget=scenario.budget,
-                    tracer=probe,
-                )
-            )
-            lane_info.append((seed, scenario.budget, probe))
-        except Exception as exc:
-            errors[seed] = exc
-    if lanes:
-        try:
-            lane_results = run_simulations_lockstep(lanes)
-        except Exception as exc:
-            for seed, _, _ in lane_info:
-                errors.setdefault(seed, exc)
-        else:
-            for (seed, budget, probe), (result, error) in zip(
-                lane_info, lane_results
-            ):
-                if error is not None or result is None:
-                    errors[seed] = error or SolverError("lane produced no result")
-                    continue
-                summary = result.summary()
-                outcomes[seed] = ReplicationOutcome(
-                    seed=seed,
-                    mean_latency=result.time_average_latency(),
-                    mean_cost=result.time_average_cost(),
-                    mean_backlog=float(np.mean(result.backlog)),
-                    budget=budget,
-                    mean_solve_seconds=summary.mean_solve_seconds,
-                    phase_state=(
-                        probe.phases.state_dict() if probe is not None else None
-                    ),
-                )
-    return [(seed, outcomes.get(seed), errors.get(seed)) for seed in seeds]
-
-
-def _execute_seed_batch(seeds: "tuple[int, ...]") -> "list[ReplicationOutcome]":
-    """Worker entry point: run a seed group in lockstep, failing fast.
-
-    Used on the plain (non-resilient) pooled path, where a failing seed
-    should propagate exactly like the per-seed path's worker exception.
-    """
-    assert _WORKER_CONTEXT is not None, "worker pool was not initialised"
-    spec, trace_phases = _WORKER_CONTEXT
-    out: list[ReplicationOutcome] = []
-    for _, outcome, error in _run_batch(spec, seeds, trace_phases):
-        if error is not None:
-            raise error
-        assert outcome is not None
-        out.append(outcome)
-    return out
-
-
-def _execute_seed_batch_salvage(
-    seeds: "tuple[int, ...]",
-) -> "list[tuple[int, ReplicationOutcome | None, str | None]]":
-    """Worker entry point for the batched salvage path.
-
-    Per-seed failures never raise -- they come back as error strings so
-    one bad seed cannot poison its group's future.
-    """
-    assert _WORKER_CONTEXT is not None, "worker pool was not initialised"
-    spec, trace_phases = _WORKER_CONTEXT
-    return [
-        (
-            seed,
-            outcome,
-            None if error is None else f"{type(error).__name__}: {error}",
-        )
-        for seed, outcome, error in _run_batch(spec, seeds, trace_phases)
-    ]
-
-
 class _SeedTracker:
     """Retry bookkeeping shared by the sequential and pooled paths."""
 
@@ -567,83 +428,6 @@ def _run_pool_resilient(
     return results
 
 
-def _run_pool_resilient_batched(
-    spec: ReplicationSpec,
-    seeds: list[int],
-    *,
-    processes: int,
-    trace_phases: bool,
-    timeout_seconds: float | None,
-    tracker: _SeedTracker,
-    batch: int,
-) -> dict[int, ReplicationOutcome]:
-    """The salvage path for ``batch_seeds > 1``: groups as work units.
-
-    Seed groups are submitted whole and run in lockstep inside the
-    worker.  Per-seed failures inside a group come back as error entries
-    (never exceptions) and are retried as *singleton* groups -- i.e.
-    through the ordinary per-seed lockstep-of-one, which is exactly
-    ``_run_one``'s arithmetic.  A group timeout or a crashed worker
-    burns one attempt for every seed in the group and rebuilds the pool,
-    mirroring :func:`_run_pool_resilient`.
-    """
-
-    def make_pool() -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker,
-            initargs=(spec, trace_phases),
-        )
-
-    results: dict[int, ReplicationOutcome] = {}
-    pending = [list(seeds[i : i + batch]) for i in range(0, len(seeds), batch)]
-    pool = make_pool()
-    try:
-        while pending:
-            futures = [
-                pool.submit(_execute_seed_batch_salvage, tuple(group))
-                for group in pending
-            ]
-            next_pending: list[list[int]] = []
-            rebuild = False
-            for position, (group, future) in enumerate(zip(pending, futures)):
-                try:
-                    entries = future.result(timeout=timeout_seconds)
-                except (FuturesTimeout, BrokenProcessPool) as exc:
-                    # The whole group is gone with the pool; every seed
-                    # in it burns an attempt, the rest of the round is
-                    # salvaged onto a fresh pool.
-                    for seed in group:
-                        if tracker.note_failure(seed, exc):
-                            next_pending.append([seed])
-                    next_pending.extend(pending[position + 1 :])
-                    rebuild = True
-                    break
-                except Exception as exc:  # driver bug in the worker
-                    for seed in group:
-                        if tracker.note_failure(seed, exc):
-                            next_pending.append([seed])
-                else:
-                    for seed, outcome, error in entries:
-                        if error is None:
-                            assert outcome is not None
-                            results[seed] = outcome
-                        elif tracker.note_failure(seed, SolverError(error)):
-                            next_pending.append([seed])
-            if rebuild:
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = make_pool()
-                if tracker.tracer.enabled:
-                    tracker.tracer.event(
-                        "replication.pool_rebuilt",
-                        {"pending": sum(len(g) for g in next_pending)},
-                    )
-            pending = next_pending
-    finally:
-        pool.shutdown(wait=False, cancel_futures=True)
-    return results
-
-
 def run_replications(
     spec: ReplicationSpec,
     seeds: tuple[int, ...] | list[int],
@@ -678,10 +462,7 @@ def run_replications(
         timeout_seconds: Per-seed wall-clock deadline for collecting a
             pooled result; a seed that blows it burns one attempt and
             the pool is rebuilt (a hung worker cannot be cancelled).
-            ``None`` disables the watchdog.  With ``spec.batch_seeds >
-            1`` the deadline applies to each *group* (its seeds run
-            together), and blowing it burns an attempt for every seed in
-            the group.
+            ``None`` disables the watchdog.
         max_retries: Extra attempts per seed after its first failure.
             With the default 0 and no injection knobs, a failing seed
             on the plain pooled path propagates as before.
@@ -710,38 +491,11 @@ def run_replications(
         or bool(spec.flaky_seeds)
     )
     tracker = _SeedTracker(max_retries, retry_backoff_seconds, as_tracer(tracer))
-    # The fixed-frequency controller has no BDMA loop to fuse, so its
-    # specs always take the historical per-seed paths.
-    batch = spec.batch_seeds if spec.solver != "fixed" else 1
     if processes is None or processes <= 1:
-        if batch > 1:
-            by_seed: dict[int, ReplicationOutcome] = {}
-            for start in range(0, len(seeds), batch):
-                group = seeds[start : start + batch]
-                for seed, outcome, error in _run_batch(
-                    spec, group, trace_phases
-                ):
-                    if error is None:
-                        assert outcome is not None
-                        by_seed[seed] = outcome
-                        continue
-                    if not resilient:
-                        raise error
-                    # Retry solo: a lockstep-of-one is _run_one's exact
-                    # arithmetic, so the retried outcome is the same one
-                    # an unbatched run would have produced.
-                    retry = tracker.note_failure(seed, error)
-                    while retry:
-                        try:
-                            by_seed[seed] = _run_one(spec, seed, trace_phases)
-                            break
-                        except Exception as exc:
-                            retry = tracker.note_failure(seed, exc)
-            outcomes = [by_seed[s] for s in seeds if s in by_seed]
-        elif not resilient:
+        if not resilient:
             outcomes = [_run_one(spec, seed, trace_phases) for seed in seeds]
         else:
-            by_seed = {}
+            by_seed: dict[int, ReplicationOutcome] = {}
             for seed in seeds:
                 while True:
                     try:
@@ -752,38 +506,16 @@ def run_replications(
                             break
             outcomes = [by_seed[s] for s in seeds if s in by_seed]
     elif not resilient:
+        if chunksize is None:
+            chunksize = min(8, -(-len(seeds) // processes))
         with ProcessPoolExecutor(
             max_workers=processes,
             initializer=_init_worker,
             initargs=(spec, trace_phases),
         ) as pool:
-            if batch > 1:
-                groups = [
-                    tuple(seeds[i : i + batch])
-                    for i in range(0, len(seeds), batch)
-                ]
-                outcomes = [
-                    outcome
-                    for chunk in pool.map(_execute_seed_batch, groups)
-                    for outcome in chunk
-                ]
-            else:
-                if chunksize is None:
-                    chunksize = min(8, -(-len(seeds) // processes))
-                outcomes = list(
-                    pool.map(_execute_seed, seeds, chunksize=max(1, chunksize))
-                )
-    elif batch > 1:
-        results = _run_pool_resilient_batched(
-            spec,
-            seeds,
-            processes=processes,
-            trace_phases=trace_phases,
-            timeout_seconds=timeout_seconds,
-            tracker=tracker,
-            batch=batch,
-        )
-        outcomes = [results[s] for s in seeds if s in results]
+            outcomes = list(
+                pool.map(_execute_seed, seeds, chunksize=max(1, chunksize))
+            )
     else:
         results = _run_pool_resilient(
             spec,

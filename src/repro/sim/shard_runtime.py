@@ -1,14 +1,12 @@
 """Resident workers for the sharded engine: state lives where it runs.
 
-PR 7's pooled path treated every epoch as a stateless job: the parent
-pickled each cell's full carry (controller state dict, generator state,
-rng bit-stream) into a fresh :class:`~concurrent.futures.ProcessPoolExecutor`
-job, the worker rebuilt the controller (and its strategy-space cache)
-from scratch, ran the segment, and pickled the whole carry back.  That
-round-trip is pure serialization tax -- the arithmetic is identical
-whether the controller object survives between epochs or not.
-
-This module keeps the state resident instead:
+Running each epoch as a stateless pool job would pickle every cell's
+full carry (controller state dict, generator state, rng bit-stream) to
+a worker, rebuild the controller (and its strategy-space cache) from
+scratch, and pickle the whole carry back -- pure serialization tax,
+since the arithmetic is identical whether the controller object
+survives between epochs or not.  This module keeps the state resident
+instead:
 
 * :class:`CellRuntime` -- one cell's long-lived execution state: the
   controller (built once, strategy-space cache kept hot), the state

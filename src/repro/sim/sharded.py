@@ -13,18 +13,18 @@ the per-cell virtual-queue constraints is the global constraint.
 Execution is epoch-segmented exactly like checkpoint/resume: each cell
 keeps one continuing state rng and draws its compiled states segment by
 segment (``compile_states(count, rng, start=completed)``), which is
-bit-identical to one uninterrupted pass.  With ``processes > 1`` the
-default ``runtime="resident"`` pins each cell's carry state inside a
-long-lived worker process (:mod:`repro.sim.shard_runtime`): controllers
-advance in place for the whole run, the parent ships only ``(slot
-range, budget shares)`` per epoch and receives compact metric /
+bit-identical to one uninterrupted pass.  Cells run either sequentially
+in-process (``processes`` ``None``/1, the oracle) or, with ``processes >
+1``, on the resident runtime, which pins each cell's carry state inside
+a long-lived worker process (:mod:`repro.sim.shard_runtime`):
+controllers advance in place for the whole run, the parent ships only
+``(slot range, budget shares)`` per epoch and receives compact metric /
 telemetry deltas back, compiled slot states travel through
 double-buffered shared-memory struct-of-arrays blocks (epoch ``e + 1``
 compiles while epoch ``e`` solves), and carry state crosses the process
-boundary only for checkpoints and salvage.  ``runtime="legacy"`` keeps
-PR 7's stateless epoch-job pool (full carry pickled per epoch) as the
-comparison oracle; ``benchmarks/bench_shard_runtime.py`` gates the two
-paths' fingerprints against each other.
+boundary only for checkpoints and salvage.
+``benchmarks/bench_shard_runtime.py`` gates the two paths' fingerprints
+against each other.
 
 Fault tolerance: a resident worker that dies or times out is killed,
 respawned, and *replayed* -- its cells re-run from slot 0 (or from the
@@ -51,15 +51,12 @@ import copy
 import hashlib
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeout
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.budget import BudgetCoordinator, ConstantBudget
+from repro.core.budget import BudgetCoordinator
 from repro.exceptions import CheckpointError, ConfigurationError, SolverError
 from repro.network.partition import CellPlan, extract_subnetwork, partition_cells
 from repro.obs.monitors import (
@@ -67,13 +64,11 @@ from repro.obs.monitors import (
     HealthReport,
     MonitorStatus,
     MonitorSuite,
-    default_monitors,
 )
 from repro.obs.probe import Probe, Tracer, as_tracer
-from repro.obs.telemetry import MetricsRegistry, TelemetrySink, telemetry_context
+from repro.obs.telemetry import MetricsRegistry, TelemetrySink
 from repro.radio.mobility import StaticMobility
 from repro.sim.checkpoint import ShardCheckpoint
-from repro.sim.engine import run_simulation
 from repro.sim.results import SimulationResult, SimulationSummary
 from repro.sim.scenario import Scenario, StateGenerator
 from repro.sim.shard_runtime import (
@@ -87,19 +82,12 @@ from repro.sim.shard_runtime import (
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "RUNTIME_NAMES",
     "ShardedController",
     "ShardedResult",
     "merge_cell_metrics",
     "run_sharded",
     "shard_scenarios",
 ]
-
-#: Pooled execution runtimes: ``"resident"`` keeps each cell's state
-#: inside a long-lived worker (the default); ``"legacy"`` is PR 7's
-#: stateless epoch-job pool, kept as the bit-identical oracle.
-RUNTIME_NAMES = ("resident", "legacy")
-
 
 class _HaltRequested(RuntimeError):
     """Test seam: the run was asked to stop right after a checkpoint
@@ -114,10 +102,6 @@ class _CheckpointPlan:
     every: int
 
 _METRIC_KEYS = ("latency", "cost", "theta", "backlog", "solve_seconds", "price")
-
-#: Monitor-status severity ranking used when folding per-epoch worker
-#: statuses into one cross-run verdict per (cell, monitor).
-_STATUS_RANK = {"ok": 0, "warning": 1, "critical": 2}
 
 
 def _check_shardable(scenario: Scenario) -> None:
@@ -271,154 +255,6 @@ class ShardedResult:
         return int(sum(c.num_devices for c in self.plan.cells)) if self.plan else 0
 
 
-# -- worker-pool plumbing (mirrors repro.sim.replication) ----------------
-
-#: Per-worker context installed once by :func:`_init_shard_worker`.
-_SHARD_CONTEXT: "dict | None" = None
-
-
-def _init_shard_worker(context: dict) -> None:
-    """Pool initializer: pin the cell scenarios + controller recipe."""
-    global _SHARD_CONTEXT
-    _SHARD_CONTEXT = context
-
-
-def _build_cell_controller(
-    scenario: Scenario,
-    *,
-    controller: str,
-    v: float,
-    z: "int | None",
-    budget,
-    engine_backend: "str | None",
-    tracer: "Tracer | None",
-    controller_params: dict,
-):
-    """One cell's controller, built the way ``api.run`` builds the
-    unsharded one (same rng stream label, same defaults)."""
-    from repro.api import make_controller
-
-    return make_controller(
-        controller,
-        scenario,
-        v=v,
-        z=z,
-        budget=budget,
-        tracer=tracer,
-        engine_backend=engine_backend,
-        **controller_params,
-    )
-
-
-def _run_epoch_job(job: dict) -> dict:
-    """Worker entry point: run one cell's epoch segment.
-
-    The job carries everything the segment needs -- the budget value
-    for the epoch and the cross-slot carry (controller / generator /
-    state-rng state) -- so any worker can run any cell's next epoch,
-    and a retried job replays bit-identically.
-    """
-    assert _SHARD_CONTEXT is not None, "shard worker pool was not initialised"
-    ctx = _SHARD_CONTEXT
-    cell = job["cell"]
-    scenario: Scenario = ctx["scenarios"][cell]
-    telemetry = ctx.get("telemetry", False)
-    monitors = ctx.get("monitors", False)
-    probe = (
-        Probe() if (ctx["trace_phases"] or telemetry or monitors) else None
-    )
-    registry = None
-    if telemetry:
-        # A fresh per-job registry: every series is this epoch's delta,
-        # which is exactly what the parent's merge_snapshot() wants
-        # (counters/histograms add; gauges win by epoch generation).
-        registry = MetricsRegistry()
-        probe.add_sink(TelemetrySink(registry, labels={"cell": cell}))
-    suite = None
-    if monitors:
-        suite = MonitorSuite(
-            default_monitors(budget=job["budget"], network=scenario.network),
-            labels={"cell": cell},
-        ).attach(probe)
-    with telemetry_context(registry, {"cell": cell}):
-        controller = _build_cell_controller(
-            scenario,
-            controller=ctx["controller"],
-            v=ctx["v"],
-            z=ctx["z"],
-            budget=ConstantBudget(job["budget"]),
-            engine_backend=ctx["backends"][cell],
-            tracer=probe,
-            controller_params=ctx["controller_params"],
-        )
-    generator = scenario.generator
-    rng = scenario.state_rng()
-    # The fault-plan cursor (plan state + plan rng) rides the job carry
-    # exactly like the generator state, so a retried job -- and every
-    # epoch after the first -- replays the plan bit-identically.
-    plan = scenario.fault_plan if scenario.fault_plan else None
-    plan_rng = None
-    if plan is not None:
-        plan_rng = scenario.fault_rng()
-    if job["carry"] is None:
-        generator.reset()
-        if plan is not None:
-            plan.reset()
-    else:
-        controller.load_state_dict(job["carry"]["controller"])
-        generator.load_state_dict(job["carry"]["generator"])
-        rng.bit_generator.state = job["carry"]["state_rng"]
-        if plan is not None:
-            plan.load_state_dict(job["carry"]["plan"])
-            plan_rng.bit_generator.state = job["carry"]["plan_rng"]
-    # The budget reference for this epoch (load_state_dict does not
-    # touch the schedule, so this holds after a carry restore too).
-    controller.budget_schedule = ConstantBudget(job["budget"])
-    controller.budget = job["budget"]
-    if ctx["compiled"]:
-        segment = generator.compile_states(
-            job["count"], rng, chunk=ctx["chunk"], start=job["start"]
-        )
-    else:
-        segment = generator.states(job["count"], rng, start=job["start"])
-    if plan is not None:
-        segment = plan.stream(segment, scenario.network, plan_rng, probe)
-    part = run_simulation(controller, segment, tracer=probe)
-    carry = {
-        "controller": controller.state_dict(),
-        "generator": generator.state_dict(),
-        "state_rng": rng.bit_generator.state,
-    }
-    if plan is not None:
-        carry["plan"] = plan.state_dict()
-        carry["plan_rng"] = plan_rng.bit_generator.state
-    result = {
-        "cell": cell,
-        "metrics": {k: getattr(part, k).tolist() for k in _METRIC_KEYS},
-        "carry": carry,
-        "phase_state": (
-            probe.phases.state_dict()
-            if probe is not None and ctx["trace_phases"]
-            else None
-        ),
-    }
-    if registry is not None:
-        result["telemetry"] = registry.snapshot()
-    if suite is not None:
-        report = suite.finish()
-        result["alerts"] = [a.to_dict() for a in report.alerts]
-        result["statuses"] = [
-            {
-                "name": s.name,
-                "status": s.status,
-                "detail": s.detail,
-                "alerts": s.alerts,
-            }
-            for s in report.statuses
-        ]
-    return result
-
-
 class ShardedController:
     """Runs one controller per cell under a shared budget coordinator.
 
@@ -443,13 +279,12 @@ class ShardedController:
             cell (heterogeneous shards).
         processes: Worker processes; ``None``/1 runs cells sequentially
             in-process (no pickling), which on a single core is just as
-            fast and is bit-identical to the pooled paths.
-        runtime: Pooled execution runtime (``processes > 1`` only).
-            ``"resident"`` (default) pins each cell's carry state in a
-            long-lived worker and ships only slot ranges and budget
-            shares per epoch; ``"legacy"`` re-pickles the full carry
-            into a stateless pool job every epoch (PR 7 behaviour).
-            Both are bit-identical to the sequential path.
+            fast.  With more, cells run on resident workers that pin
+            each cell's carry state in a long-lived process and receive
+            only slot ranges and budget shares per epoch; bit-identical
+            to the sequential path.
+        runtime: Must be ``"resident"`` (the default); any other value
+            raises :class:`~repro.exceptions.ConfigurationError`.
         shared_states: Ship compiled slot states to resident workers
             through double-buffered shared-memory blocks, compiling
             epoch ``e + 1`` while epoch ``e`` solves.  ``None`` (auto)
@@ -460,35 +295,34 @@ class ShardedController:
             every N epochs so salvage replays at most N epochs instead
             of the whole run.  ``None`` (default) skips the periodic
             pull; a checkpoint write always pulls.
-        timeout_seconds: Per-epoch reply deadline on the pooled paths;
-            a blown deadline burns one retry and rebuilds the worker
-            (resident) or the pool (legacy).  On the resident runtime
-            this is a heartbeat *silence* deadline: workers heartbeat
-            as they progress through their cells, each heartbeat
-            resets the timer, and a worker silent past the deadline --
-            hung, not just dead -- is killed and salvaged through the
-            replay path (``shard.worker_hung`` event,
-            ``resilience.worker_hangs`` counter).
-        max_retries: Extra attempts per epoch, per cell (legacy) or per
-            worker (resident), after the first failure.
+        timeout_seconds: Per-epoch heartbeat *silence* deadline on the
+            resident runtime: workers heartbeat as they progress through
+            their cells, each heartbeat resets the timer, and a worker
+            silent past the deadline -- hung, not just dead -- is killed
+            and salvaged through the replay path, burning one retry
+            (``shard.worker_hung`` event, ``resilience.worker_hangs``
+            counter).
+        max_retries: Extra attempts per epoch, per resident worker,
+            after the first failure.
         tracer: Parent observability tracer; per-cell probes are merged
             into it (``shard.*`` events mark epochs and re-splits).
         registry: A live :class:`~repro.obs.telemetry.MetricsRegistry`
             the run streams into -- per-cell gauges and per-kernel /
             per-phase histograms, labelled ``cell="<index>"``.  On the
-            pooled path each epoch job ships a registry snapshot back
-            with its carry state and the parent merges it as soon as
-            the job completes, so a scrape *during* the run sees every
+            resident runtime each worker ships a telemetry delta back
+            with every epoch reply and the parent merges it as soon as
+            the reply arrives, so a scrape *during* the run sees every
             finished epoch, not just the final merge.
         monitors: Attach the default health monitors per cell
             (:func:`repro.obs.monitors.default_monitors` wired to each
             cell's budget share and sub-network).  Alerts carry a
             ``cell`` label, are re-emitted on the parent tracer, and the
-            combined report lands on ``ShardedResult.health``.  On the
-            pooled path monitors run per epoch job, so windowed
-            detectors see one epoch at a time; the end-of-run budget
-            constraint check still fires every epoch against that
-            epoch's share.
+            combined report lands on ``ShardedResult.health``.  Each
+            cell's suite lives for the whole run on either path (in the
+            resident worker that owns the cell), so windowed detectors
+            see the cell's full trajectory; resident workers ship new
+            alerts with each epoch reply and their final statuses at
+            the end.
         **controller_params: Extra family knobs, validated by
             :func:`repro.api.make_controller`.
     """
@@ -527,10 +361,10 @@ class ShardedController:
             raise ConfigurationError(f"epoch must be >= 1, got {epoch}")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if runtime not in RUNTIME_NAMES:
+        if runtime != "resident":
             raise ConfigurationError(
-                f"unknown sharded runtime {runtime!r}; "
-                f"expected one of {RUNTIME_NAMES}"
+                f"unknown sharded runtime {runtime!r}: the legacy per-epoch "
+                "process pool was removed; use the default 'resident'"
             )
         if carry_every is not None and int(carry_every) < 1:
             raise ConfigurationError(
@@ -553,7 +387,6 @@ class ShardedController:
         )
         self.epoch = int(epoch)
         self.processes = processes
-        self.runtime = runtime
         self.shared_states = shared_states
         self.carry_every = None if carry_every is None else int(carry_every)
         self.timeout_seconds = timeout_seconds
@@ -708,7 +541,7 @@ class ShardedController:
         ckpt: "_CheckpointPlan | None" = None,
         resume_state: "ShardCheckpoint | None" = None,
     ) -> "tuple[list[dict], list]":
-        """The resident-worker epoch loop (the default pooled runtime).
+        """The resident-worker epoch loop (``processes > 1``).
 
         Cells are pinned round-robin onto long-lived workers at spawn;
         each epoch the parent ships only ``(slot range, budget shares,
@@ -1057,7 +890,8 @@ class ShardedController:
                 },
             )
             # Keep the partial trace whole-record durable before the
-            # salvage replay (same contract as the legacy pool path).
+            # salvage replay: a parent killed mid-rebuild must not leave
+            # a JSONL record truncated mid-line.
             self.tracer.flush()
         if self.registry is not None:
             counter = self.registry.counter(
@@ -1151,187 +985,6 @@ class ShardedController:
             )
         return ck
 
-    # -- pooled path -------------------------------------------------------
-
-    def _run_pooled(
-        self, horizon: int, *, compiled: bool, chunk: int
-    ) -> "tuple[list[dict], list[np.ndarray]]":
-        trace = self.tracer.enabled
-        context = {
-            "scenarios": self.cell_scenarios,
-            "controller": self.controller_name,
-            "v": self.v,
-            "z": self.z,
-            "backends": self.backends,
-            "controller_params": self.controller_params,
-            "compiled": compiled,
-            "chunk": chunk,
-            "trace_phases": trace,
-            "telemetry": self.registry is not None,
-            "monitors": self.monitors,
-        }
-        monitor_rollup: "dict[tuple[int, str], dict]" = {}
-        collected_alerts: list[Alert] = []
-
-        def make_pool() -> ProcessPoolExecutor:
-            return ProcessPoolExecutor(
-                max_workers=self.processes,
-                initializer=_init_shard_worker,
-                initargs=(context,),
-            )
-
-        num_cells = len(self.cell_scenarios)
-        metrics = [{k: [] for k in _METRIC_KEYS} for _ in range(num_cells)]
-        budgets_applied: list[np.ndarray] = []
-        carries: list = [None] * num_cells
-        attempts: dict[int, int] = {}
-        completed = 0
-        pool = make_pool()
-        try:
-            while completed < horizon:
-                count = min(self.epoch, horizon - completed)
-                budgets = self.coordinator.budgets()
-                budgets_applied.append(budgets)
-                jobs = {
-                    c: {
-                        "cell": c,
-                        "start": completed,
-                        "count": count,
-                        "budget": float(budgets[c]),
-                        "carry": carries[c],
-                    }
-                    for c in range(num_cells)
-                }
-                pending = list(range(num_cells))
-                spends = np.zeros(num_cells)
-                attempts.clear()
-                while pending:
-                    futures = {
-                        c: pool.submit(_run_epoch_job, jobs[c]) for c in pending
-                    }
-                    next_pending: list[int] = []
-                    rebuild = False
-                    for position, c in enumerate(pending):
-                        try:
-                            out = futures[c].result(
-                                timeout=self.timeout_seconds
-                            )
-                        except (FuturesTimeout, BrokenProcessPool) as exc:
-                            # The pool is poisoned; salvage the rest of
-                            # this round onto a fresh one, burn one of
-                            # this cell's attempts.
-                            if self._note_failure(attempts, c, exc):
-                                next_pending.append(c)
-                            else:
-                                raise SolverError(
-                                    f"cell {c} failed permanently at slot "
-                                    f"{completed}: {exc}"
-                                ) from exc
-                            next_pending.extend(pending[position + 1 :])
-                            rebuild = True
-                            break
-                        except Exception as exc:
-                            if self._note_failure(attempts, c, exc):
-                                next_pending.append(c)
-                            else:
-                                raise SolverError(
-                                    f"cell {c} failed permanently at slot "
-                                    f"{completed}: {exc}"
-                                ) from exc
-                        else:
-                            for key in _METRIC_KEYS:
-                                metrics[c][key].extend(out["metrics"][key])
-                            carries[c] = out["carry"]
-                            spends[c] = float(
-                                np.mean(out["metrics"]["cost"])
-                            )
-                            if trace and isinstance(self.tracer, Probe):
-                                # (start_slot, cell) keeps gauge series
-                                # in logical order regardless of which
-                                # future completed first.
-                                self.tracer.merge_phase_state(
-                                    out["phase_state"],
-                                    order=(completed, c),
-                                )
-                            if self.registry is not None:
-                                # Stream this epoch's snapshot into the
-                                # live registry immediately -- a scrape
-                                # mid-run sees it while other cells are
-                                # still computing.  generation =
-                                # start_slot + 1 keeps later epochs'
-                                # gauges winning over stragglers.
-                                self.registry.merge_snapshot(
-                                    out.get("telemetry"),
-                                    generation=completed + 1,
-                                )
-                            if self.monitors:
-                                self._fold_worker_monitors(
-                                    c,
-                                    out,
-                                    monitor_rollup,
-                                    collected_alerts,
-                                )
-                    if rebuild:
-                        # Make the partial trace durable before the
-                        # salvage retry: a parent killed while the pool
-                        # rebuilds must not leave a JSONL record
-                        # truncated mid-line.
-                        self.tracer.flush()
-                        pool.shutdown(wait=False, cancel_futures=True)
-                        pool = make_pool()
-                        if trace:
-                            self.tracer.event(
-                                "shard.pool_rebuilt",
-                                {"pending": len(next_pending)},
-                            )
-                    pending = next_pending
-                completed += count
-                new_budgets = self.coordinator.update(spends)
-                self._publish_epoch(completed, new_budgets)
-                if trace:
-                    self.tracer.event(
-                        "shard.epoch",
-                        {
-                            "completed": completed,
-                            "spends": spends.tolist(),
-                            "budgets": new_budgets.tolist(),
-                        },
-                    )
-        finally:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if self.monitors:
-            self._health = self._assemble_health_pooled(
-                monitor_rollup, collected_alerts
-            )
-        return metrics, budgets_applied
-
-    def _note_failure(self, attempts: dict, cell: int, exc: Exception) -> bool:
-        attempts[cell] = attempts.get(cell, 0) + 1
-        retry = attempts[cell] <= self.max_retries
-        logger.warning(
-            "cell %d epoch job failed (attempt %d/%d): %s",
-            cell,
-            attempts[cell],
-            self.max_retries + 1,
-            exc,
-        )
-        if self.tracer.enabled:
-            self.tracer.counter("resilience.shard_retries", 1)
-            self.tracer.event(
-                "shard.retry",
-                {"cell": cell, "attempt": attempts[cell], "error": str(exc)},
-            )
-            # Every failure path flushes streaming sinks: whether the
-            # job is retried or about to raise permanently, the partial
-            # trace on disk stays whole-record durable.
-            self.tracer.flush()
-        if self.registry is not None:
-            self.registry.counter(
-                "repro_shard_retries_total",
-                "Sharded epoch jobs that failed and were retried",
-            ).inc(1.0, cell=cell)
-        return retry
-
     # -- telemetry / monitor plumbing --------------------------------------
 
     def _publish_epoch(self, completed: int, budgets: np.ndarray) -> None:
@@ -1348,49 +1001,6 @@ class ShardedController:
         )
         for c, value in enumerate(budgets):
             budget_gauge.set(float(value), cell=c)
-
-    def _fold_worker_monitors(
-        self,
-        cell: int,
-        out: dict,
-        rollup: "dict[tuple[int, str], dict]",
-        alerts: "list[Alert]",
-    ) -> None:
-        """Fold one epoch job's monitor output into the run's rollup.
-
-        Worker alerts are re-emitted on the parent tracer (the
-        "re-emission under sharding" contract: dashboards and JSONL
-        traces attached to the parent see per-cell alerts live), and
-        per-monitor statuses fold by worst severity with alert counts
-        summed across epochs.
-        """
-        for data in out.get("alerts", ()):
-            alerts.append(
-                Alert(
-                    monitor=data["monitor"],
-                    severity=data["severity"],
-                    message=data["message"],
-                    t=data.get("t"),
-                    data=dict(data.get("data", {})),
-                )
-            )
-            if self.tracer.enabled:
-                self.tracer.event("alert", data)
-        for status in out.get("statuses", ()):
-            key = (cell, status["name"])
-            entry = rollup.get(key)
-            if entry is None:
-                rollup[key] = dict(status)
-            else:
-                if (
-                    _STATUS_RANK.get(status["status"], 0)
-                    > _STATUS_RANK.get(entry["status"], 0)
-                ):
-                    entry["status"] = status["status"]
-                entry["alerts"] += status["alerts"]
-                # Detail from the most recent epoch (jobs for one cell
-                # complete in epoch order) reads as the final state.
-                entry["detail"] = status["detail"]
 
     def _assemble_health_sequential(
         self, suites: "list[MonitorSuite | None]"
@@ -1413,22 +1023,6 @@ class ShardedController:
             alerts.extend(report.alerts)
         return HealthReport(statuses=tuple(statuses), alerts=tuple(alerts))
 
-    def _assemble_health_pooled(
-        self,
-        rollup: "dict[tuple[int, str], dict]",
-        alerts: "list[Alert]",
-    ) -> HealthReport:
-        statuses = tuple(
-            MonitorStatus(
-                name=f"cell{cell}/{name}",
-                status=entry["status"],
-                detail=entry["detail"],
-                alerts=entry["alerts"],
-            )
-            for (cell, name), entry in sorted(rollup.items())
-        )
-        return HealthReport(statuses=statuses, alerts=tuple(alerts))
-
     # -- public ------------------------------------------------------------
 
     def run(
@@ -1445,14 +1039,15 @@ class ShardedController:
 
         Cells advance in lockstep epochs; after each epoch the budget
         coordinator re-splits ``Cbar`` from the observed spends.  The
-        pooled and sequential paths produce bit-identical trajectories
-        (the pooled paths replay the same carry-state arithmetic the
-        checkpoint layer proved exact).
+        resident and sequential runtimes produce bit-identical
+        trajectories: both advance the same :class:`CellRuntime`
+        objects, and a rebuilt resident worker replays the carry-state
+        arithmetic the checkpoint layer proved exact.
 
         Args:
             checkpoint: Snapshot the run to this path at epoch
-                boundaries (a :class:`~repro.sim.checkpoint.ShardCheckpoint`;
-                sequential and resident runtimes only).
+                boundaries (a :class:`~repro.sim.checkpoint.ShardCheckpoint`,
+                resumable on either runtime).
             checkpoint_every: Minimum slots between snapshots; defaults
                 to the epoch length (one snapshot per epoch).
             resume: Continue from a matching snapshot at *checkpoint*;
@@ -1467,12 +1062,6 @@ class ShardedController:
         ckpt = None
         resume_state = None
         if checkpoint is not None:
-            if pooled and self.runtime == "legacy":
-                raise ConfigurationError(
-                    "checkpointing needs the resident or sequential "
-                    "sharded runtime (the legacy pool keeps no parent-"
-                    "side carry between epochs)"
-                )
             every = self.epoch if checkpoint_every is None else int(checkpoint_every)
             if every < 1:
                 raise ConfigurationError(
@@ -1482,26 +1071,14 @@ class ShardedController:
             ckpt = _CheckpointPlan(path=path, every=every)
             if resume and path.exists():
                 resume_state = self._load_shard_checkpoint(path, horizon)
-        if pooled and self.runtime == "resident":
-            metrics, budgets = self._run_resident(
-                horizon,
-                compiled=compiled_states,
-                chunk=state_chunk,
-                ckpt=ckpt,
-                resume_state=resume_state,
-            )
-        elif pooled:
-            metrics, budgets = self._run_pooled(
-                horizon, compiled=compiled_states, chunk=state_chunk
-            )
-        else:
-            metrics, budgets = self._run_sequential(
-                horizon,
-                compiled=compiled_states,
-                chunk=state_chunk,
-                ckpt=ckpt,
-                resume_state=resume_state,
-            )
+        run_cells = self._run_resident if pooled else self._run_sequential
+        metrics, budgets = run_cells(
+            horizon,
+            compiled=compiled_states,
+            chunk=state_chunk,
+            ckpt=ckpt,
+            resume_state=resume_state,
+        )
         merged = merge_cell_metrics(metrics, self.total_budget)
         cell_summaries = [
             SimulationResult(
@@ -1536,7 +1113,6 @@ def run_sharded(
     smoothing: float = 0.5,
     engine_backend: "str | list | tuple | None" = None,
     processes: "int | None" = None,
-    runtime: str = "resident",
     shared_states: "bool | None" = None,
     carry_every: "int | None" = None,
     timeout_seconds: "float | None" = None,
@@ -1570,7 +1146,6 @@ def run_sharded(
         smoothing=smoothing,
         engine_backend=engine_backend,
         processes=processes,
-        runtime=runtime,
         shared_states=shared_states,
         carry_every=carry_every,
         timeout_seconds=timeout_seconds,

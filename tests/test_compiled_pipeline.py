@@ -8,11 +8,10 @@ Three families of guarantees, each asserted bitwise unless noted:
   for any chunk size, and end to end through ``repro.api.run``.
 * Batched P2-B (``method="batch"``) matches the scalar-loop oracle
   (``method="scalar"``) bit for bit, including every fast-path edge
-  case; warm brackets agree to the search tolerance only.
+  case.
 * The warm-start family's semantics: the BDMA fixed-point short-circuit
-  is a bit-exact accounting optimisation, ``carry_over`` /
-  ``warm_start`` are bit-exact given the same rng draws, and
-  ``freq_carry_over`` is equilibrium-equivalent (close, not equal).
+  is a bit-exact accounting optimisation, and ``carry_over`` /
+  ``warm_start`` are bit-exact given the same rng draws.
 """
 
 from __future__ import annotations
@@ -291,18 +290,6 @@ class TestBatchedP2B:
             ).x
             assert got[n] == expected
 
-    def test_warm_brackets_agree_to_tolerance(self) -> None:
-        network, state, assignment = self._network_state_assignment()
-        cold = solve_p2b(
-            network, state, assignment, queue_backlog=20.0, v=50.0,
-            method="batch",
-        )
-        warm = solve_p2b(
-            network, state, assignment, queue_backlog=20.0, v=50.0,
-            method="batch", bracket_hint=cold,
-        )
-        np.testing.assert_allclose(warm, cold, rtol=1e-5, atol=1e-5)
-
 
 # -- warm-start semantics ----------------------------------------------------
 
@@ -367,22 +354,6 @@ class TestWarmStartSemantics:
             )
             assert np.array_equal(first.latency, second.latency)
             assert np.array_equal(first.cost, second.cost)
-
-    def test_freq_carry_over_is_equilibrium_equivalent(self) -> None:
-        # Not bit-exact (documented): the alternation walks a different
-        # path, but lands on an equally good fixed point, so headline
-        # time averages stay close.
-        cold = run(scenario=_small_scenario(), controller="dpp", horizon=24)
-        warm = run(
-            scenario=_small_scenario(),
-            controller="dpp",
-            horizon=24,
-            freq_carry_over=True,
-        )
-        assert np.all(np.isfinite(warm.latency))
-        cold_avg = float(np.mean(cold.latency))
-        warm_avg = float(np.mean(warm.latency))
-        assert warm_avg == pytest.approx(cold_avg, rel=0.05)
 
 
 # -- vectorized validate_decision --------------------------------------------

@@ -3,8 +3,8 @@
 The kernel contract (:mod:`repro.kernels.interface`) promises that
 selecting ``backend="jit"`` changes wall-clock, never results.  These
 tests enforce it end to end: slot-record streams, trajectory
-fingerprints, engine counters, the fused multi-request P2-B solver, and
-batched replication must all match the NumPy oracle bit for bit --
+fingerprints, engine counters, and replication outcomes must all match
+the NumPy oracle bit for bit --
 including under injected faults and chaos, where the resilience
 fallback chain runs on top of the kernels.
 
@@ -15,6 +15,7 @@ compiler is available (``available_backends()["jit"]`` is then
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 import repro
 from repro.api import run
 from repro.core.congestion_game import OffloadingCongestionGame
-from repro.core.p2b import solve_p2b, solve_p2b_many
+from repro.core.p2b import solve_p2b
 from repro.core.resilience import ResiliencePolicy, SolverChaos
 from repro.core.state import Assignment, SlotState
 from repro.energy.models import QuadraticEnergyModel
@@ -413,116 +414,23 @@ class TestSlotStreamParity:
         assert_records_identical(base.records, fast.records)
 
 
-class TestSolveP2bMany:
-    def _requests(self, backend: str, tracers: "list[Probe] | None" = None):
-        network = make_tiny_network()
-        configs = [
-            (Assignment(bs_of=np.array([0, 0, 1, 1]),
-                        server_of=np.array([0, 1, 2, 2])), 20.0, 50.0),
-            (Assignment(bs_of=np.array([0, 0, 1, 1]),
-                        server_of=np.array([0, 0, 2, 2])), 5.0, 10.0),
-            (Assignment(bs_of=np.array([0, 1, 1, 0]),
-                        server_of=np.array([1, 2, 2, 0])), 300.0, 25.0),
-        ]
-        return [
-            dict(
-                network=network,
-                state=make_tiny_state(),
-                assignment=assignment,
-                queue_backlog=q,
-                v=v,
-                backend=backend,
-                tracer=tracers[i] if tracers else None,
-            )
-            for i, (assignment, q, v) in enumerate(configs)
-        ]
-
-    @pytest.mark.parametrize(
-        "backend",
-        ("numpy", pytest.param("jit", marks=requires_jit)),
-    )
-    def test_fused_solve_matches_solo(self, backend: str) -> None:
-        fused_tracers = [Probe() for _ in range(3)]
-        solo_tracers = [Probe() for _ in range(3)]
-        fused = solve_p2b_many(self._requests(backend, fused_tracers))
-        solo = [
-            solve_p2b(**request)
-            for request in self._requests(backend, solo_tracers)
-        ]
-        assert len(fused) == 3
-        for got, want in zip(fused, solo):
-            np.testing.assert_array_equal(got, want)
-        # Counters land on each request's own tracer, exactly as solo.
-        for fused_probe, solo_probe in zip(fused_tracers, solo_tracers):
-            assert dict(fused_probe.phases.counters) == dict(
-                solo_probe.phases.counters
-            )
-
-    def test_empty_request_list(self) -> None:
-        assert solve_p2b_many([]) == []
-
+class TestReplicationParity:
     @requires_jit
-    def test_bracket_hints_fall_back_to_solo_path(self) -> None:
-        requests = self._requests("jit")
-        hint = solve_p2b(**{k: v for k, v in requests[0].items() if k != "tracer"})
-        requests[0]["bracket_hint"] = hint
-        solo = [solve_p2b(**request) for request in self._requests("jit")]
-        solo[0] = solve_p2b(
-            **{k: v for k, v in self._requests("jit")[0].items()},
-            bracket_hint=hint,
+    def test_jit_replications_match_numpy(self) -> None:
+        seeds = [1, 2, 3]
+        spec = ReplicationSpec(num_devices=8, horizon=6)
+        base = run_replications(spec, seeds)
+        fast = run_replications(
+            dataclasses.replace(spec, engine_backend="jit"), seeds
         )
-        for got, want in zip(solve_p2b_many(requests), solo):
-            np.testing.assert_array_equal(got, want)
 
-
-class TestBatchedReplication:
-    def _spec(self, **overrides) -> ReplicationSpec:
-        fields = dict(num_devices=8, horizon=6)
-        fields.update(overrides)
-        return ReplicationSpec(**fields)
-
-    def _outcome_tuples(self, report):
-        # mean_solve_seconds is wall-clock, so it legitimately differs
-        # between lockstep and solo execution; everything else is
+        # mean_solve_seconds is wall-clock; every other field is
         # arithmetic and must match bitwise.
-        return [
-            (o.seed, o.mean_latency, o.mean_cost, o.mean_backlog, o.budget)
-            for o in report.outcomes
-        ]
+        def arithmetic(report):
+            return [
+                dataclasses.replace(o, mean_solve_seconds=0.0)
+                for o in report.outcomes
+            ]
 
-    def test_spec_validation(self) -> None:
-        with pytest.raises(ConfigurationError):
-            self._spec(batch_seeds=0)
-        with pytest.raises(ConfigurationError):
-            self._spec(engine_backend="cuda")
-
-    @pytest.mark.parametrize("batch_seeds", (2, 4))
-    def test_lockstep_batches_are_bit_identical(self, batch_seeds: int) -> None:
-        seeds = [1, 2, 3, 4, 5]
-        base = run_replications(self._spec(), seeds)
-        batched = run_replications(
-            self._spec(batch_seeds=batch_seeds), seeds
-        )
-        assert batched.failed_seeds == []
-        assert self._outcome_tuples(batched) == self._outcome_tuples(base)
-
-    @requires_jit
-    def test_jit_batches_match_numpy(self) -> None:
-        seeds = [1, 2, 3]
-        base = run_replications(self._spec(), seeds)
-        batched = run_replications(
-            self._spec(batch_seeds=3, engine_backend="jit"), seeds
-        )
-        assert self._outcome_tuples(batched) == self._outcome_tuples(base)
-
-    def test_failed_lane_is_retried_solo(self) -> None:
-        seeds = [1, 2, 3]
-        base = run_replications(self._spec(), seeds)
-        # flaky_seeds flips run_replications into its resilient mode;
-        # the failed lane drops out of the lockstep batch and is retried
-        # solo, which is the exact arithmetic of an unbatched run.
-        flaky = run_replications(
-            self._spec(batch_seeds=3, flaky_seeds=(2,)), seeds, max_retries=2
-        )
-        assert flaky.failed_seeds == []
-        assert self._outcome_tuples(flaky) == self._outcome_tuples(base)
+        assert fast.failed_seeds == []
+        assert arithmetic(fast) == arithmetic(base)

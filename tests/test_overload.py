@@ -179,7 +179,7 @@ class TestShardedOverload:
             )
 
         sequential = run()
-        resident = run(processes=2, runtime="resident")
+        resident = run(processes=2)
         for left, right in zip(
             (
                 sequential.merged.latency,

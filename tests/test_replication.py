@@ -39,6 +39,8 @@ class TestSpec:
             ReplicationSpec(solver="gurobi")
         with pytest.raises(ConfigurationError):
             ReplicationSpec(horizon=0)
+        with pytest.raises(ConfigurationError):
+            ReplicationSpec(engine_backend="cuda")
 
     def test_spec_is_hashable_and_picklable(self) -> None:
         import pickle

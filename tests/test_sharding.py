@@ -370,25 +370,6 @@ class TestResidentRuntime:
             ],
         )
 
-    def test_legacy_and_resident_match_sequential(self) -> None:
-        scenario = metro_scenario()
-        plan = sharding.partition_cells(
-            scenario.network, 2, rng=np.random.default_rng(3)
-        )
-        sequential = sharding.run_sharded(
-            scenario, horizon=4, cells=plan, epoch=2
-        )
-        resident = sharding.run_sharded(
-            metro_scenario(), horizon=4, cells=plan, epoch=2,
-            processes=2, runtime="resident",
-        )
-        legacy = sharding.run_sharded(
-            metro_scenario(), horizon=4, cells=plan, epoch=2,
-            processes=2, runtime="legacy",
-        )
-        assert_identical(sequential.merged, resident.merged)
-        assert_identical(sequential.merged, legacy.merged)
-
     def test_shared_states_off_matches(self) -> None:
         scenario = metro_scenario()
         plan = sharding.partition_cells(
@@ -407,6 +388,8 @@ class TestResidentRuntime:
     def test_invalid_runtime_rejected(self) -> None:
         with pytest.raises(ConfigurationError, match="runtime"):
             sharding.ShardedController(metro_scenario(), 2, runtime="warp")
+        with pytest.raises(ConfigurationError, match="legacy .* removed"):
+            sharding.ShardedController(metro_scenario(), 2, runtime="legacy")
 
     def test_one_cell_fault_plan_matches_unsharded(self) -> None:
         baseline = repro.api.run(
@@ -571,15 +554,8 @@ class TestResidentRuntime:
         resident = sharding.run_sharded(
             metro_scenario(fault_plan=self.spanning_fault_plan()),
             horizon=6, cells=plan, epoch=2, processes=2,
-            runtime="resident",
-        )
-        legacy = sharding.run_sharded(
-            metro_scenario(fault_plan=self.spanning_fault_plan()),
-            horizon=6, cells=plan, epoch=2, processes=2,
-            runtime="legacy",
         )
         assert_identical(sequential.merged, resident.merged)
-        assert_identical(sequential.merged, legacy.merged)
         # The plan actually disturbed the run.
         plain = sharding.run_sharded(
             metro_scenario(), horizon=6, cells=plan, epoch=2
@@ -640,12 +616,4 @@ class TestResidentRuntime:
             sharding.run_sharded(
                 metro_scenario(seed=10), horizon=4, cells=plan, epoch=2,
                 checkpoint=path, resume=True,
-            )
-
-    def test_legacy_checkpoint_rejected(self, tmp_path) -> None:
-        with pytest.raises(ConfigurationError, match="legacy"):
-            sharding.run_sharded(
-                metro_scenario(), horizon=4, cells=2, epoch=2,
-                processes=2, runtime="legacy",
-                checkpoint=tmp_path / "x.ckpt",
             )
