@@ -414,6 +414,17 @@ class TestSlotStreamParity:
         assert_records_identical(base.records, fast.records)
 
 
+class TestBatchedReplication:
+    """Seed replication after lockstep batching was removed: every seed
+    runs on its own, and the spec refuses the removed option."""
+
+    def test_spec_validation(self) -> None:
+        with pytest.raises(TypeError, match="batch_seeds"):
+            ReplicationSpec(num_devices=8, horizon=6, batch_seeds=2)
+        with pytest.raises(ConfigurationError):
+            ReplicationSpec(num_devices=8, horizon=6, engine_backend="cuda")
+
+
 class TestReplicationParity:
     @requires_jit
     def test_jit_replications_match_numpy(self) -> None:

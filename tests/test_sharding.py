@@ -370,6 +370,26 @@ class TestResidentRuntime:
             ],
         )
 
+    def test_legacy_and_resident_match_sequential(self) -> None:
+        # The legacy per-epoch pool is gone: an explicit resident runtime
+        # still reproduces the sequential oracle, and a legacy request is
+        # refused rather than silently served by another runtime.
+        scenario = metro_scenario()
+        plan = sharding.partition_cells(
+            scenario.network, 2, rng=np.random.default_rng(3)
+        )
+        sequential = sharding.run_sharded(
+            scenario, horizon=4, cells=plan, epoch=2
+        )
+        resident = sharding.ShardedController(
+            metro_scenario(), plan, epoch=2, processes=2, runtime="resident"
+        ).run(4)
+        assert_identical(sequential.merged, resident.merged)
+        with pytest.raises(ConfigurationError, match="legacy"):
+            sharding.ShardedController(
+                metro_scenario(), plan, epoch=2, processes=2, runtime="legacy"
+            )
+
     def test_shared_states_off_matches(self) -> None:
         scenario = metro_scenario()
         plan = sharding.partition_cells(
