@@ -268,7 +268,7 @@ def run_backend_sweep(*, repeats: int = 3) -> dict:
 def run_smoke(*, backend: str = "numpy") -> dict:
     """CI smoke: prove the fast paths engage; assert no timings."""
     import repro
-    from repro.api import run
+    from repro.api import make_controller, run
     from repro.obs.probe import Probe
 
     def scenario():
@@ -281,9 +281,12 @@ def run_smoke(*, backend: str = "numpy") -> dict:
         scenario=scenario(), controller="dpp", horizon=12, tracer=probe,
         engine_backend=backend,
     )
-    per_slot = run(
-        scenario=scenario(), controller="dpp", horizon=12,
-        compiled_states=False, engine_backend=backend,
+    # The oracle: the same controller fed by the per-slot state stream.
+    oracle = scenario()
+    per_slot = repro.run_simulation(
+        make_controller("dpp", oracle, engine_backend=backend),
+        oracle.generator.states(12, oracle.state_rng()),
+        budget=oracle.budget,
     )
     if _fingerprint(compiled) != _fingerprint(per_slot):
         raise AssertionError("compiled states diverged from per-slot states")

@@ -114,7 +114,7 @@ def check_never_abort() -> list[str]:
     controller = make_controller(scenario, tracer=probe)
     result = repro.run_simulation(
         controller,
-        scenario.fresh_compiled_states(HORIZON, tracer=probe),
+        scenario.fresh_states(HORIZON, tracer=probe),
         budget=scenario.budget,
         tracer=probe,
     )
@@ -144,7 +144,7 @@ class _Kill(Exception):
 def check_resume_equality() -> list[str]:
     base = repro.run_simulation(
         make_controller(make_scenario()),
-        make_scenario().fresh_compiled_states(HORIZON),
+        make_scenario().fresh_states(HORIZON),
         budget=None,
     )
     kill_at = HORIZON // 2 + 3

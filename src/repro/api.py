@@ -251,20 +251,15 @@ def make_controller(
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """How states are drawn and kernels executed.
+    """How kernels are executed.
 
     Attributes:
         backend: Array-kernel backend for the controller's hot loops
             (``"numpy"``/``"jit"``; ``None`` = default).  Bit-identical
             across backends -- wall-clock only.
-        compiled_states: Feed the controller through the compiled state
-            pipeline (bit-identical states, drawn in chunks).
-        state_chunk: Slots per compiled chunk.
     """
 
     backend: str | None = None
-    compiled_states: bool = True
-    state_chunk: int = 32
 
 
 @dataclass(frozen=True)
@@ -321,10 +316,6 @@ class CellConfig:
         timeout_seconds: Per-epoch worker silence deadline with
             ``processes > 1`` (the hung-worker watchdog).
         max_retries: Retries per worker and epoch after a failure.
-        shared_states: Ship compiled slot states to resident workers
-            through shared memory (``None`` = automatic: on whenever
-            the scenario's state stream supports parent-side
-            compilation).
         carry_every: Pull worker carry state back to the parent every
             N epochs as a salvage base (``None`` = only at the end and
             at checkpoints).
@@ -341,7 +332,6 @@ class CellConfig:
     balance_weight: float = 1.0
     timeout_seconds: float | None = None
     max_retries: int = 2
-    shared_states: bool | None = None
     carry_every: int | None = None
 
 
@@ -369,7 +359,7 @@ class RunConfig:
         z: BDMA alternation rounds.
         budget: Energy budget override (``None`` = scenario's).
         warm_start_queue: Start the queue at its estimated equilibrium.
-        engine: State-pipeline and kernel block.
+        engine: Kernel block.
         checkpoint: Snapshot/resume block.
         obs: Observability block.
         cells: Sharding block; ``None`` runs unsharded.
@@ -457,8 +447,6 @@ def _run_sharded_path(
     budget: "float | None",
     tracer: "Tracer | None",
     engine_backend: "str | None",
-    compiled_states: bool,
-    state_chunk: int,
     controller_params: dict,
     registry=None,
     monitors: bool = False,
@@ -494,13 +482,10 @@ def _run_sharded_path(
         processes=cfg.processes,
         timeout_seconds=cfg.timeout_seconds,
         max_retries=cfg.max_retries,
-        shared_states=cfg.shared_states,
         carry_every=cfg.carry_every,
         tracer=tracer,
         registry=registry,
         monitors=monitors,
-        compiled_states=compiled_states,
-        state_chunk=state_chunk,
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,
         resume=resume,
@@ -528,8 +513,6 @@ def run(
     keep_records: "bool | _Unset" = _UNSET,
     on_slot=None,
     warm_start_queue: "bool | _Unset" = _UNSET,
-    compiled_states: "bool | _Unset" = _UNSET,
-    state_chunk: "int | _Unset" = _UNSET,
     checkpoint: "str | None | _Unset" = _UNSET,
     checkpoint_every: "int | _Unset" = _UNSET,
     resume: "bool | _Unset" = _UNSET,
@@ -589,12 +572,6 @@ def run(
         keep_records: Retain full per-slot records on the result.
         on_slot: Per-slot progress callback.
         warm_start_queue: Start the queue at its estimated equilibrium.
-        compiled_states: Feed the controller through the compiled state
-            pipeline
-            (:meth:`~repro.sim.scenario.Scenario.fresh_compiled_states`).
-            Bit-identical states either way; the compiled path draws
-            them in chunks.  Disable to exercise the per-slot path.
-        state_chunk: Slots per compiled chunk (with ``compiled_states``).
         checkpoint: Path of a run-checkpoint file.  When given, the run
             snapshots its full cross-slot state there every
             ``checkpoint_every`` slots (atomically) via
@@ -634,8 +611,6 @@ def run(
     engine_backend = _pick(engine_backend, cfg.engine.backend)
     keep_records = _pick(keep_records, cfg.obs.keep_records)
     warm_start_queue = _pick(warm_start_queue, cfg.warm_start_queue)
-    compiled_states = _pick(compiled_states, cfg.engine.compiled_states)
-    state_chunk = _pick(state_chunk, cfg.engine.state_chunk)
     checkpoint = _pick(checkpoint, cfg.checkpoint.path)
     checkpoint_every = _pick(checkpoint_every, cfg.checkpoint.every)
     resume = _pick(resume, cfg.checkpoint.resume)
@@ -674,8 +649,6 @@ def run(
             keep_records=keep_records,
             on_slot=on_slot,
             warm_start_queue=warm_start_queue,
-            compiled_states=compiled_states,
-            state_chunk=state_chunk,
             checkpoint=checkpoint,
             checkpoint_every=checkpoint_every,
             resume=resume,
@@ -704,8 +677,6 @@ def _run_resolved(
     keep_records,
     on_slot,
     warm_start_queue,
-    compiled_states,
-    state_chunk,
     checkpoint,
     checkpoint_every,
     resume,
@@ -761,8 +732,6 @@ def _run_resolved(
             budget=budget,
             tracer=tracer,
             engine_backend=engine_backend,
-            compiled_states=compiled_states,
-            state_chunk=state_chunk,
             controller_params=merged_params,
             registry=registry,
             monitors=monitors is True,
@@ -827,20 +796,13 @@ def _run_resolved(
             tracer=tracer,
             keep_records=keep_records,
             on_slot=on_slot,
-            compiled=compiled_states,
-            chunk=state_chunk,
         )
         if suite is not None:
             result.health = suite.finish()
         return result
-    states = (
-        scenario.fresh_compiled_states(horizon, chunk=state_chunk, tracer=tracer)
-        if compiled_states
-        else scenario.fresh_states(horizon, tracer=tracer)
-    )
     result = run_simulation(
         ctrl,
-        states,
+        scenario.fresh_states(horizon, tracer=tracer),
         budget=budget,
         keep_records=keep_records,
         on_slot=on_slot,

@@ -16,7 +16,9 @@ Python loop kept as the ``method="scalar"`` oracle.  Both are
 bit-identical per lane, so the default ``method="auto"`` freely picks
 whichever is faster for the fleet size (numpy dispatch overhead makes
 the scalar loop win below ~64 servers: measured 320 us vs 1060 us per
-call at N=16 on the paper scenario).
+call at N=16 on the paper scenario).  On a backend with a native
+``golden_quad`` kernel both methods take the batched lane path; only
+the emitted counters still follow the resolved method.
 """
 
 from __future__ import annotations
@@ -76,12 +78,13 @@ def solve_p2b(
             closed-form shortcuts, plus ``p2b.batch_iters`` (total
             golden-section iterations across the batch) on the batch
             path.
-        backend: Kernel backend for the golden-section search.  A
+        backend: Kernel backend for the golden-section search.  On a
             backend providing a native ``golden_quad`` (the ``jit``
-            backend) replaces the search core on lanes with quadratic
-            energy models, bit-identically; method resolution and the
-            emitted counters are unchanged, so traces diff clean across
-            backends.  ``None`` keeps the NumPy search.
+            backend) every method runs the batched lane path, whose
+            search core on quadratic energy models is the native kernel,
+            bit-identically; the emitted counters depend on the resolved
+            method only, so traces diff clean across backends.  ``None``
+            keeps the NumPy search.
 
     Returns:
         ``(N,)`` array of frequencies in GHz, elementwise in
@@ -106,21 +109,8 @@ def solve_p2b(
     energy_pressure = queue_backlog * state.price
     tracer = as_tracer(tracer)
     kernels = get_kernels(backend)
-    native = kernels.golden_quad is not None
 
-    if method == "scalar":
-        if native:
-            solved = _solve_p2b_scalar_native(
-                network, state, demand, energy_pressure, v, tol, kernels
-            )
-            if solved is not None:
-                frequencies, searched = solved
-                if tracer.enabled:
-                    tracer.counter("p2b.scalar_solves", searched)
-                    tracer.counter(
-                        "p2b.fastpath", network.num_servers - searched
-                    )
-                return frequencies
+    if method == "scalar" and kernels.golden_quad is None:
         return _solve_p2b_scalar(
             network, state, demand, energy_pressure, v, tol, tracer
         )
@@ -139,7 +129,8 @@ def solve_p2b(
     if tracer.enabled:
         tracer.counter("p2b.scalar_solves", int(servers.size))
         tracer.counter("p2b.fastpath", network.num_servers - int(servers.size))
-        tracer.counter("p2b.batch_iters", batch_iters)
+        if method == "batch":
+            tracer.counter("p2b.batch_iters", batch_iters)
     return frequencies
 
 
@@ -272,42 +263,6 @@ def _golden_search(
         tol=tol,
     )
     return result.x, int(result.iterations.sum())
-
-
-def _solve_p2b_scalar_native(
-    network: MECNetwork,
-    state: SlotState,
-    demand: FloatArray,
-    energy_pressure: float,
-    v: float,
-    tol: float,
-    kernels: "KernelBackend",
-) -> tuple[FloatArray, int] | None:
-    """The scalar method's result via the native golden kernel.
-
-    Applies the scalar loop's fast paths as masks (:func:`_search_lanes`,
-    itself bit-identical to the loop) and hands every lane that needs
-    the search to ``golden_quad`` in one call.  Returns
-    ``(frequencies, searched_lanes)``, or ``None`` when any searched
-    lane has a non-quadratic energy model (the caller then runs the
-    Python loop, which handles arbitrary models).
-    """
-    frequencies, servers, latency_scale = _search_lanes(
-        network, state, demand, energy_pressure, v
-    )
-    if servers.size == 0:
-        return frequencies, 0
-    cols = _quad_columns(network, servers)
-    if cols is None:
-        return None
-    scale, a, b, c = cols
-    ep = np.full(servers.size, energy_pressure)
-    x, _ = kernels.golden_quad(
-        network.freq_min[servers], network.freq_max[servers],
-        latency_scale, ep, scale, a, b, c, tol,
-    )
-    frequencies[servers] = x
-    return frequencies, int(servers.size)
 
 
 def _solve_p2b_scalar(

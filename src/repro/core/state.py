@@ -100,9 +100,9 @@ class SlotState:
         """Construct without per-field validation.
 
         The compiled state pipeline
-        (:meth:`repro.sim.scenario.StateGenerator.compile_states`) draws
-        whole chunks of slots at once and validates the stacked arrays
-        in one pass, so re-running ``__post_init__``'s checks and
+        (:meth:`repro.sim.scenario.StateGenerator.compile_states`) builds
+        blocks of slots at once and validates the stacked arrays in one
+        pass, so re-running ``__post_init__``'s checks and
         ``as_float_array`` conversions per slot would only repeat work.
         Callers must guarantee what the normal constructor enforces:
         contiguous float64 arrays, ``cycles``/``bits`` matching 1-D,

@@ -270,7 +270,7 @@ def run_chaos_sweep(
         )
         sim = repro.run_simulation(
             controller,
-            scenario.fresh_compiled_states(horizon, tracer=probe),
+            scenario.fresh_states(horizon, tracer=probe),
             budget=scenario.budget,
             tracer=probe,
         )

@@ -250,8 +250,6 @@ def run_checkpointed(
     tracer: "Tracer | None" = None,
     keep_records: bool = False,
     on_slot=None,
-    compiled: bool = True,
-    chunk: int = 32,
 ) -> SimulationResult:
     """Drive *controller* through *horizon* slots with periodic snapshots.
 
@@ -279,10 +277,6 @@ def run_checkpointed(
         keep_records: Retain per-slot records -- only for the slots run
             in *this* process; records from before a resume are gone.
         on_slot: Per-slot progress callback.
-        compiled: Use the compiled state pipeline (bit-identical to the
-            per-slot path; see
-            :meth:`~repro.sim.scenario.StateGenerator.compile_states`).
-        chunk: Slots per compiled chunk.
 
     Returns:
         The full-horizon :class:`~repro.sim.results.SimulationResult`
@@ -355,12 +349,7 @@ def run_checkpointed(
 
     while completed < horizon:
         count = min(every, horizon - completed)
-        if compiled:
-            segment = generator.compile_states(
-                count, state_rng, chunk=chunk, start=completed
-            )
-        else:
-            segment = generator.states(count, state_rng, start=completed)
+        segment = generator.compile_states(count, state_rng, start=completed)
         if plan is not None:
             segment = plan.stream(segment, scenario.network, plan_rng, tracer)
         part = run_simulation(

@@ -219,12 +219,14 @@ class ReplicationSummary:
 def execute_replication(
     args: "tuple[ReplicationSpec, int] | tuple[ReplicationSpec, int, bool]",
 ) -> ReplicationOutcome:
-    """Run one seed of a spec (module-level so it pickles for workers).
+    """Run one seed of a spec in this process.
 
     Accepts ``(spec, seed)`` or ``(spec, seed, trace_phases)``; with
-    ``trace_phases`` the worker runs under its own
-    :class:`~repro.obs.Probe` and ships the aggregated phase state back
-    in the outcome (tracers themselves never cross process boundaries).
+    ``trace_phases`` the run records into its own
+    :class:`~repro.obs.Probe` and the aggregated phase state comes back
+    in the outcome.  Pooled :func:`run_replications` workers do not call
+    this: they run :func:`_execute_seed` against the spec their pool
+    initializer pinned.
     """
     spec, seed = args[0], args[1]
     trace_phases = bool(args[2]) if len(args) > 2 else False
@@ -292,7 +294,7 @@ def _run_one(
     )
     result = repro.run_simulation(
         controller,
-        scenario.fresh_compiled_states(spec.horizon),
+        scenario.fresh_states(spec.horizon),
         budget=scenario.budget,
         tracer=probe,
     )
@@ -309,17 +311,24 @@ def _run_one(
 
 
 class _SeedTracker:
-    """Retry bookkeeping shared by the sequential and pooled paths."""
+    """Retry bookkeeping shared by the sequential and pooled paths.
+
+    With ``propagate`` (no retries, timeouts or injected seeds) the
+    first failure is re-raised unchanged instead of being recorded.
+    """
 
     def __init__(
         self,
         max_retries: int,
         backoff_seconds: float,
         tracer: Tracer,
+        *,
+        propagate: bool = False,
     ) -> None:
         self.max_retries = max_retries
         self.backoff_seconds = backoff_seconds
         self.tracer = tracer
+        self.propagate = propagate
         self.attempts: dict[int, int] = {}
         self.failed: list[int] = []
 
@@ -327,6 +336,8 @@ class _SeedTracker:
         """Record a failed attempt; return ``True`` when *seed* should
         be retried (after the backoff sleep), ``False`` when it is
         permanently failed."""
+        if self.propagate:
+            raise error
         self.attempts[seed] = self.attempts.get(seed, 0) + 1
         attempt = self.attempts[seed]
         if attempt <= self.max_retries:
@@ -371,7 +382,7 @@ def _run_pool_resilient(
     timeout_seconds: float | None,
     tracker: _SeedTracker,
 ) -> dict[int, ReplicationOutcome]:
-    """The salvage-everything pooled path.
+    """The pooled path.
 
     Submits every pending seed, collects results in order, and survives
     the three ways a worker can die: an exception inside the run
@@ -433,7 +444,6 @@ def run_replications(
     seeds: tuple[int, ...] | list[int],
     *,
     processes: int | None = None,
-    chunksize: int | None = None,
     tracer: "Tracer | None" = None,
     timeout_seconds: float | None = None,
     max_retries: int = 0,
@@ -448,12 +458,8 @@ def run_replications(
         seeds: Root seeds; each yields an independent topology and
             state stream.
         processes: Worker processes; ``None`` or 1 runs sequentially
-            (no pickling, easier debugging).
-        chunksize: Seeds handed to a worker per dispatch.  Defaults to
-            an even split (``ceil(len(seeds) / processes)``, capped at
-            8) so the pool round-trips batches instead of single seeds;
-            ordering of the outcomes is unaffected.  Ignored on the
-            resilient path (per-seed submission).
+            (no pickling, easier debugging).  Pooled runs submit one
+            job per seed; outcomes keep the order of *seeds*.
         tracer: Observability tracer.  Each run (worker) records into
             its own probe; the per-phase aggregations are merged into
             *tracer* when it is a :class:`repro.obs.Probe`, so the
@@ -464,8 +470,8 @@ def run_replications(
             the pool is rebuilt (a hung worker cannot be cancelled).
             ``None`` disables the watchdog.
         max_retries: Extra attempts per seed after its first failure.
-            With the default 0 and no injection knobs, a failing seed
-            on the plain pooled path propagates as before.
+            With the default 0, no timeout and no injected seeds, the
+            first failing seed's exception propagates unchanged.
         retry_backoff_seconds: Base sleep before attempt ``n``'s retry
             (linear backoff: ``base * n``).
 
@@ -490,32 +496,22 @@ def run_replications(
         or bool(spec.fail_seeds)
         or bool(spec.flaky_seeds)
     )
-    tracker = _SeedTracker(max_retries, retry_backoff_seconds, as_tracer(tracer))
+    tracker = _SeedTracker(
+        max_retries,
+        retry_backoff_seconds,
+        as_tracer(tracer),
+        propagate=not resilient,
+    )
     if processes is None or processes <= 1:
-        if not resilient:
-            outcomes = [_run_one(spec, seed, trace_phases) for seed in seeds]
-        else:
-            by_seed: dict[int, ReplicationOutcome] = {}
-            for seed in seeds:
-                while True:
-                    try:
-                        by_seed[seed] = _run_one(spec, seed, trace_phases)
+        results: dict[int, ReplicationOutcome] = {}
+        for seed in seeds:
+            while True:
+                try:
+                    results[seed] = _run_one(spec, seed, trace_phases)
+                    break
+                except Exception as exc:
+                    if not tracker.note_failure(seed, exc):
                         break
-                    except Exception as exc:
-                        if not tracker.note_failure(seed, exc):
-                            break
-            outcomes = [by_seed[s] for s in seeds if s in by_seed]
-    elif not resilient:
-        if chunksize is None:
-            chunksize = min(8, -(-len(seeds) // processes))
-        with ProcessPoolExecutor(
-            max_workers=processes,
-            initializer=_init_worker,
-            initargs=(spec, trace_phases),
-        ) as pool:
-            outcomes = list(
-                pool.map(_execute_seed, seeds, chunksize=max(1, chunksize))
-            )
     else:
         results = _run_pool_resilient(
             spec,
@@ -525,7 +521,7 @@ def run_replications(
             timeout_seconds=timeout_seconds,
             tracker=tracker,
         )
-        outcomes = [results[s] for s in seeds if s in results]
+    outcomes = [results[s] for s in seeds if s in results]
     if isinstance(tracer, Probe):
         for outcome in outcomes:
             tracer.merge_phase_state(outcome.phase_state, order=(outcome.seed,))

@@ -14,22 +14,21 @@ from typing import Iterator
 import numpy as np
 
 from repro.core.state import SlotState
-from repro.energy.pricing import (
-    ConstantPriceModel,
-    PeriodicPriceModel,
-    PriceModel,
-    TracePriceModel,
-)
+from repro.energy.pricing import PriceModel
 from repro.exceptions import ConfigurationError, ValidationError
 from repro.network.coverage import coverage_matrix
 from repro.network.topology import MECNetwork
 from repro.radio.channel import ChannelModel, UniformChannelModel
-from repro.radio.fronthaul import FronthaulModel, StaticFronthaul
+from repro.radio.fronthaul import FronthaulModel
 from repro.radio.mobility import MobilityModel, StaticMobility
-from repro.sim.faults import FaultPlan, NoOutages, OutageModel
+from repro.sim.faults import FaultPlan, OutageModel
 from repro.sim.seeding import SeedBank
 from repro.types import FloatArray, Rng
 from repro.workload.generators import TaskGenerator, UniformTaskGenerator
+
+#: Slots :meth:`StateGenerator.compile_states` scales, masks and
+#: validates per block; bounds its scratch memory, never its results.
+_CHUNK = 32
 
 
 class StateGenerator:
@@ -120,57 +119,36 @@ class StateGenerator:
         for t in range(start, start + horizon):
             yield self.state(t, rng)
 
-    def _price_consumes_rng(self) -> bool:
-        """Whether the price model draws randomness per slot."""
-        prices = self.prices
-        if type(prices) is ConstantPriceModel or type(prices) is TracePriceModel:
-            return False
-        if type(prices) is PeriodicPriceModel:
-            return prices.noise_std > 0.0
-        return True  # unknown model: assume it draws
-
     def compile_states(
-        self, horizon: int, rng: Rng, *, chunk: int = 32, start: int = 0
+        self, horizon: int, rng: Rng, *, start: int = 0
     ) -> Iterator[SlotState]:
         """Yield the exact same states as :meth:`states`, compiled.
 
         Bit-identical to :meth:`states` for every model composition: the
         per-slot RNG consumption order is preserved, only the way the
-        draws are issued changes.  Three tiers, chosen by inspecting the
+        draws are issued changes.  Two tiers, chosen by inspecting the
         composed models:
 
-        * **Chunk-blocked** -- static mobility, uniform tasks, uniform
-          channel, and no other per-slot randomness (constant/trace
-          prices or zero price noise, static fronthaul, no fault
-          model).  All of a chunk's uniform draws come from one
-          ``rng.random((chunk, S))`` call; a ``(chunk, S)`` block
-          consumes the bit stream exactly like ``chunk`` sequential
-          per-slot draws, and ``lo + u * (hi - lo)`` is bitwise
-          ``Generator.uniform``.
-        * **Slot-fused** -- as above but some model (price noise, a
-          fronthaul or outage model) draws between slots.  Each slot
-          issues one ``rng.random(S)`` for its uniform draws and calls
-          the interleaving models in :meth:`states`'s order; scaling
-          and coverage-masking still run once per chunk.
+        * **Slot-fused** -- static mobility, uniform tasks and uniform
+          channel.  Each slot issues one ``rng.random(S)`` for its
+          uniform draws (``lo + u * (hi - lo)`` is bitwise
+          ``Generator.uniform``) and then calls the price, fronthaul
+          and outage models in :meth:`states`'s order; scaling,
+          coverage-masking and validation run once per block of
+          :data:`_CHUNK` slots, and coverage once per call.
         * **Fallback** -- any other composition (mobility, non-uniform
           workload/channel models): delegate to the per-slot path,
           which is trivially identical.
 
-        On the compiled tiers the static-mobility short-circuit
-        computes coverage once per call instead of per slot, and states
-        are built through :meth:`SlotState.trusted` after one
-        whole-chunk validation pass.
+        Compiled states are built through :meth:`SlotState.trusted`
+        after the block's validation pass.
 
         Args:
             horizon: Number of slots to yield.
             rng: The state stream (consumed identically to
                 :meth:`states`).
-            chunk: Slots drawn/validated per block; latency/memory
-                knob only -- results do not depend on it.
             start: First slot index.
         """
-        if chunk < 1:
-            raise ConfigurationError(f"chunk must be positive, got {chunk}")
         if horizon <= 0:
             return
         fused = (
@@ -181,11 +159,6 @@ class StateGenerator:
         if not fused:
             yield from self.states(horizon, rng, start=start)
             return
-        interleaved = (
-            self._price_consumes_rng()
-            or not (self.fronthaul is None or type(self.fronthaul) is StaticFronthaul)
-            or not (self.faults is None or type(self.faults) is NoOutages)
-        )
 
         # Static mobility: one (rng-free) step, one coverage matrix.
         self._positions = self.mobility.step(self._positions, rng)
@@ -200,34 +173,27 @@ class StateGenerator:
         # matrix -- the order states() consumes them in.
         span = 2 * num_devices + num_devices * num_bs
 
-        for begin in range(start, start + horizon, chunk):
-            m = min(chunk, start + horizon - begin)
+        for begin in range(start, start + horizon, _CHUNK):
+            m = min(_CHUNK, start + horizon - begin)
+            block = np.empty((m, span))
             prices: list[float] = []
             fronthauls: list[FloatArray | None] = []
             availables: list["np.ndarray | None"] = []
-            if interleaved:
-                block = np.empty((m, span))
-                for j, t in enumerate(range(begin, begin + m)):
-                    rng.random(out=block[j])
-                    prices.append(self.prices.price(t, rng) * self.price_scale)
-                    fronthauls.append(
-                        self.fronthaul.spectral_efficiency(
-                            t, self.network.fronthaul_se, rng
-                        )
-                        if self.fronthaul is not None
-                        else None
+            for j, t in enumerate(range(begin, begin + m)):
+                rng.random(out=block[j])
+                prices.append(self.prices.price(t, rng) * self.price_scale)
+                fronthauls.append(
+                    self.fronthaul.spectral_efficiency(
+                        t, self.network.fronthaul_se, rng
                     )
-                    availables.append(
-                        self.faults.availability(t, self.network, rng)
-                        if self.faults is not None
-                        else None
-                    )
-            else:
-                block = rng.random((m, span))
-                for t in range(begin, begin + m):
-                    prices.append(self.prices.price(t, rng) * self.price_scale)
-                fronthauls = [None] * m
-                availables = [None] * m
+                    if self.fronthaul is not None
+                    else None
+                )
+                availables.append(
+                    self.faults.availability(t, self.network, rng)
+                    if self.faults is not None
+                    else None
+                )
 
             cycles = c_lo + block[:, :num_devices] * (c_hi - c_lo)
             bits = b_lo + block[:, num_devices : 2 * num_devices] * (b_hi - b_lo)
@@ -236,7 +202,7 @@ class StateGenerator:
             ) * (se_hi - se_lo)
             h[:, uncovered] = 0.0
 
-            # The chunk-level stand-in for the per-slot constructor
+            # The block-level stand-in for the per-slot constructor
             # checks.  Positive uniform ranges make the demand/price
             # checks unfailable here, but the invariants are cheap to
             # assert on the stacked arrays and guard future models.
@@ -368,27 +334,13 @@ class Scenario:
 
         Each call restarts the stream from the scenario seed (and resets
         mobility), so different controllers can be fed *identical*
-        realisations -- a paired comparison.  When the scenario carries a
-        :attr:`fault_plan` it is reset and applied on top; fault events
-        go to *tracer* when one is given.
+        realisations -- a paired comparison.  States come from
+        :meth:`StateGenerator.compile_states`, bit-identical to the
+        per-slot :meth:`StateGenerator.states`.  When the scenario
+        carries a :attr:`fault_plan` it is reset and applied on top from
+        its own stream; fault events go to *tracer* when one is given.
         """
         self.generator.reset()
         return self._with_faults(
-            self.generator.states(horizon, self.state_rng()), tracer
-        )
-
-    def fresh_compiled_states(
-        self, horizon: int, *, chunk: int = 32, tracer=None
-    ) -> Iterator[SlotState]:
-        """:meth:`fresh_states` through the compiled pipeline.
-
-        Bit-identical states (same seed, same stream, same values); see
-        :meth:`StateGenerator.compile_states` for the tiers and the
-        ``chunk`` knob.  The :attr:`fault_plan`, when present, wraps the
-        compiled stream without touching its RNG consumption.
-        """
-        self.generator.reset()
-        return self._with_faults(
-            self.generator.compile_states(horizon, self.state_rng(), chunk=chunk),
-            tracer,
+            self.generator.compile_states(horizon, self.state_rng()), tracer
         )

@@ -125,8 +125,6 @@ class CellRuntime:
         backend: "str | None",
         controller_params: dict,
         budget: float,
-        compiled: bool,
-        chunk: int,
         probe: "Probe | None" = None,
         registry: "MetricsRegistry | None" = None,
         monitors: bool = False,
@@ -137,8 +135,6 @@ class CellRuntime:
 
         self.cell = int(cell)
         self.scenario = scenario
-        self.compiled = bool(compiled)
-        self.chunk = int(chunk)
         self.probe = probe
         self.own_states = bool(own_states)
         self.suite: "MonitorSuite | None" = None
@@ -175,12 +171,7 @@ class CellRuntime:
     def segment(self, start: int, count: int, states=None):
         """The slot-state iterator for one epoch (fault plan applied)."""
         if states is None:
-            if self.compiled:
-                states = self.generator.compile_states(
-                    count, self.state_rng, chunk=self.chunk, start=start
-                )
-            else:
-                states = self.generator.states(count, self.state_rng, start=start)
+            states = self.generator.compile_states(count, self.state_rng, start=start)
         if self.plan is not None:
             states = self.plan.stream(
                 states, self.scenario.network, self.plan_rng, self.probe
@@ -277,8 +268,6 @@ class _WorkerRuntime:
                 backend=payload["backends"][c],
                 controller_params=payload["controller_params"],
                 budget=payload["initial_budgets"][c],
-                compiled=payload["compiled"],
-                chunk=payload["chunk"],
                 probe=probe,
                 registry=self.registry,
                 monitors=monitors,
@@ -576,12 +565,8 @@ class SharedStatePlanner:
     #: fronthaul/availability -- are unsupported; see :meth:`supported`).
     _BUFFERS = 2
 
-    def __init__(
-        self, scenarios: "list[Scenario]", *, epoch: int, compiled: bool, chunk: int
-    ) -> None:
+    def __init__(self, scenarios: "list[Scenario]", *, epoch: int) -> None:
         self.scenarios = scenarios
-        self.compiled = bool(compiled)
-        self.chunk = int(chunk)
         self.blocks: "dict[int, SharedStateBlock]" = {}
         self.rngs = {}
         # Boundary stream states captured at each fill: the pipelined
@@ -636,12 +621,7 @@ class SharedStatePlanner:
         boundary = {}
         for c, sc in enumerate(self.scenarios):
             arrays = self.blocks[c].arrays(buffer)
-            if self.compiled:
-                stream = sc.generator.compile_states(
-                    count, self.rngs[c], chunk=self.chunk, start=start
-                )
-            else:
-                stream = sc.generator.states(count, self.rngs[c], start=start)
+            stream = sc.generator.compile_states(count, self.rngs[c], start=start)
             for j, state in enumerate(stream):
                 arrays["cycles"][j] = state.cycles
                 arrays["bits"][j] = state.bits

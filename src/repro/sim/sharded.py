@@ -285,12 +285,6 @@ class ShardedController:
             to the sequential path.
         runtime: Must be ``"resident"`` (the default); any other value
             raises :class:`~repro.exceptions.ConfigurationError`.
-        shared_states: Ship compiled slot states to resident workers
-            through double-buffered shared-memory blocks, compiling
-            epoch ``e + 1`` while epoch ``e`` solves.  ``None`` (auto)
-            enables it whenever the scenario's states fit the fixed
-            layout (no fronthaul/outage models, no fault plan);
-            ``True`` insists and raises when they do not.
         carry_every: Pull per-cell carry state from resident workers
             every N epochs so salvage replays at most N epochs instead
             of the whole run.  ``None`` (default) skips the periodic
@@ -343,7 +337,6 @@ class ShardedController:
         engine_backend: "str | list | tuple | None" = None,
         processes: "int | None" = None,
         runtime: str = "resident",
-        shared_states: "bool | None" = None,
         carry_every: "int | None" = None,
         timeout_seconds: "float | None" = None,
         max_retries: int = 2,
@@ -387,7 +380,6 @@ class ShardedController:
         )
         self.epoch = int(epoch)
         self.processes = processes
-        self.shared_states = shared_states
         self.carry_every = None if carry_every is None else int(carry_every)
         self.timeout_seconds = timeout_seconds
         self.max_retries = int(max_retries)
@@ -431,8 +423,6 @@ class ShardedController:
         self,
         horizon: int,
         *,
-        compiled: bool,
-        chunk: int,
         ckpt: "_CheckpointPlan | None" = None,
         resume_state: "ShardCheckpoint | None" = None,
     ) -> "tuple[list[dict], list]":
@@ -461,8 +451,6 @@ class ShardedController:
                     backend=self.backends[c],
                     controller_params=self.controller_params,
                     budget=float(initial[c]),
-                    compiled=compiled,
-                    chunk=chunk,
                     probe=probe,
                     registry=self.registry,
                     monitors=self.monitors,
@@ -536,8 +524,6 @@ class ShardedController:
         self,
         horizon: int,
         *,
-        compiled: bool,
-        chunk: int,
         ckpt: "_CheckpointPlan | None" = None,
         resume_state: "ShardCheckpoint | None" = None,
     ) -> "tuple[list[dict], list]":
@@ -560,18 +546,9 @@ class ShardedController:
         workers_n = max(1, min(int(self.processes), num_cells))
         if resume_state is not None:
             self.coordinator.load_state_dict(resume_state.coordinator)
-        shared_ok = SharedStatePlanner.supported(self.cell_scenarios)
-        if self.shared_states is True and not shared_ok:
-            raise ConfigurationError(
-                "shared_states=True needs plain state streams "
-                "(no fronthaul/outage models, no fault plan)"
-            )
-        use_shared = shared_ok if self.shared_states is None else bool(self.shared_states)
         planner = (
-            SharedStatePlanner(
-                self.cell_scenarios, epoch=self.epoch, compiled=compiled, chunk=chunk
-            )
-            if use_shared
+            SharedStatePlanner(self.cell_scenarios, epoch=self.epoch)
+            if SharedStatePlanner.supported(self.cell_scenarios)
             else None
         )
         ctx = _mp_context()
@@ -669,8 +646,6 @@ class ShardedController:
                     "backends": {c: self.backends[c] for c in cells_w},
                     "controller_params": self.controller_params,
                     "initial_budgets": {c: float(initial[c]) for c in cells_w},
-                    "compiled": compiled,
-                    "chunk": chunk,
                     "trace_phases": trace,
                     "telemetry": self.registry is not None,
                     "monitors": self.monitors,
@@ -1029,8 +1004,6 @@ class ShardedController:
         self,
         horizon: int,
         *,
-        compiled_states: bool = True,
-        state_chunk: int = 32,
         checkpoint: "str | Path | None" = None,
         checkpoint_every: "int | None" = None,
         resume: bool = False,
@@ -1073,11 +1046,7 @@ class ShardedController:
                 resume_state = self._load_shard_checkpoint(path, horizon)
         run_cells = self._run_resident if pooled else self._run_sequential
         metrics, budgets = run_cells(
-            horizon,
-            compiled=compiled_states,
-            chunk=state_chunk,
-            ckpt=ckpt,
-            resume_state=resume_state,
+            horizon, ckpt=ckpt, resume_state=resume_state
         )
         merged = merge_cell_metrics(metrics, self.total_budget)
         cell_summaries = [
@@ -1113,15 +1082,12 @@ def run_sharded(
     smoothing: float = 0.5,
     engine_backend: "str | list | tuple | None" = None,
     processes: "int | None" = None,
-    shared_states: "bool | None" = None,
     carry_every: "int | None" = None,
     timeout_seconds: "float | None" = None,
     max_retries: int = 2,
     tracer: "Tracer | None" = None,
     registry: "MetricsRegistry | None" = None,
     monitors: bool = False,
-    compiled_states: bool = True,
-    state_chunk: int = 32,
     checkpoint: "str | Path | None" = None,
     checkpoint_every: "int | None" = None,
     resume: bool = False,
@@ -1146,7 +1112,6 @@ def run_sharded(
         smoothing=smoothing,
         engine_backend=engine_backend,
         processes=processes,
-        shared_states=shared_states,
         carry_every=carry_every,
         timeout_seconds=timeout_seconds,
         max_retries=max_retries,
@@ -1157,8 +1122,6 @@ def run_sharded(
     )
     return sharded.run(
         horizon,
-        compiled_states=compiled_states,
-        state_chunk=state_chunk,
         checkpoint=checkpoint,
         checkpoint_every=checkpoint_every,
         resume=resume,

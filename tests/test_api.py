@@ -208,7 +208,7 @@ class TestRunConfig:
         config = RunConfig(
             controller="mcba",
             horizon=4,
-            engine=EngineConfig(backend="numpy", state_chunk=16),
+            engine=EngineConfig(backend="numpy"),
             checkpoint=CheckpointConfig(path="/tmp/ck.json", every=8),
             obs=ObsConfig(monitors=True),
             cells=CellConfig(count=2, backends=("numpy", "numpy")),
@@ -216,7 +216,7 @@ class TestRunConfig:
         )
         plain = config.to_dict()
         assert json.loads(json.dumps(plain)) == plain
-        assert plain["engine"]["backend"] == "numpy"
+        assert plain["engine"] == {"backend": "numpy"}
         assert plain["cells"]["count"] == 2
         assert plain["cells"]["backends"] == ["numpy", "numpy"]
         assert plain["controller_params"] == {"iterations": 5}

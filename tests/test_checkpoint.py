@@ -57,7 +57,7 @@ def make_controller(scenario: repro.Scenario) -> repro.DPPController:
 
 def plain_run(*, faulted: bool = False) -> repro.SimulationResult:
     scenario = make_scenario(faulted=faulted)
-    states = scenario.fresh_compiled_states(HORIZON)
+    states = scenario.fresh_states(HORIZON)
     return repro.run_simulation(
         make_controller(scenario), states, budget=scenario.budget
     )

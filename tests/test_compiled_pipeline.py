@@ -2,10 +2,12 @@
 
 Three families of guarantees, each asserted bitwise unless noted:
 
-* ``StateGenerator.compile_states`` yields states bit-identical to the
-  per-slot :meth:`StateGenerator.states` path for every model
-  composition (all three tiers: chunk-blocked, slot-fused, fallback),
-  for any chunk size, and end to end through ``repro.api.run``.
+* ``StateGenerator.compile_states`` (and ``Scenario.fresh_states``,
+  which routes through it) yields states bit-identical to the per-slot
+  :meth:`StateGenerator.states` oracle for every model composition
+  (both tiers: slot-fused and fallback), for horizons on either side of
+  the internal block size and for nonzero start slots, and end to end
+  through ``repro.api.run``.
 * Batched P2-B (``method="batch"``) matches the scalar-loop oracle
   (``method="scalar"``) bit for bit, including every fast-path edge
   case.
@@ -30,10 +32,12 @@ from repro.core.state import (
     SlotState,
     validate_decision,
 )
-from repro.exceptions import ConfigurationError, ValidationError
+from repro.exceptions import ValidationError
 from repro.network.connectivity import StrategySpace
 from repro.radio.mobility import RandomWaypointMobility
 from repro.radio.fronthaul import ScintillatingFronthaul
+from repro.sim import scenario as scenario_module
+from repro.sim.engine import run_simulation
 from repro.sim.faults import MarkovOutages
 from repro.solvers.scalar import minimize_convex_scalar
 
@@ -79,63 +83,72 @@ def _assert_states_identical(reference, compiled) -> None:
             assert np.array_equal(ref.available_servers, got.available_servers)
 
 
-class TestCompiledStates:
-    """compile_states is bit-identical to states() on every tier.
+#: Horizons around the compiled tier's 32-slot block: a single slot, a
+#: short partial block, one slot either side of a full block, a full
+#: block, two blocks plus one slot, and several blocks.
+HORIZONS = (1, 7, 31, 32, 33, 65, 100)
+
+
+def _assert_matches_oracle(make_scenario, horizons=HORIZONS) -> None:
+    """compile_states == states() for every horizon from slots 0 and 5.
 
     Two *fresh* scenario objects per comparison: stateful models
-    (waypoint mobility, AR(1) fronthaul) persist across ``fresh_states``
-    calls, so reusing one object would compare different streams.
+    (waypoint mobility, AR(1) fronthaul) persist across streams, so
+    reusing one object would compare different streams.  From slot 0
+    the compiled side goes through ``Scenario.fresh_states``.
     """
+    for horizon in horizons:
+        for start in (0, 5):
+            reference, compiled = make_scenario(), make_scenario()
+            expected = reference.generator.states(
+                horizon, reference.state_rng(), start=start
+            )
+            if start == 0:
+                got = compiled.fresh_states(horizon)
+            else:
+                got = compiled.generator.compile_states(
+                    horizon, compiled.state_rng(), start=start
+                )
+            _assert_states_identical(expected, got)
 
-    @pytest.mark.parametrize("chunk", [1, 7, 32, 100])
-    def test_default_scenario_slot_fused_tier(self, chunk: int) -> None:
-        # Periodic prices with noise draw rng per slot: slot-fused tier.
-        _assert_states_identical(
-            _small_scenario().fresh_states(40),
-            _small_scenario().fresh_compiled_states(40, chunk=chunk),
-        )
 
-    def test_zero_price_noise_chunk_blocked_tier(self) -> None:
+class TestCompiledStates:
+    """compile_states is bit-identical to the states() oracle on every tier."""
+
+    def test_block_size_is_straddled(self) -> None:
+        assert scenario_module._CHUNK == 32
+
+    @pytest.mark.parametrize("horizon", HORIZONS)
+    def test_default_scenario_slot_fused_tier(self, horizon: int) -> None:
+        # Periodic prices with noise draw rng per slot.
+        _assert_matches_oracle(_small_scenario, horizons=(horizon,))
+
+    def test_zero_price_noise_slot_fused_tier(self) -> None:
+        # No per-slot draw between the uniform blocks.
         config = repro.ScenarioConfig(num_devices=10, price_noise_std=0.0)
-        _assert_states_identical(
-            _small_scenario(config=config).fresh_states(40),
-            _small_scenario(config=config).fresh_compiled_states(40),
-        )
+        _assert_matches_oracle(lambda: _small_scenario(config=config))
 
     def test_mobility_fallback_tier(self) -> None:
-        _assert_states_identical(
-            _small_scenario(
-                mobility=RandomWaypointMobility(3000.0)
-            ).fresh_states(30),
-            _small_scenario(
-                mobility=RandomWaypointMobility(3000.0)
-            ).fresh_compiled_states(30),
+        _assert_matches_oracle(
+            lambda: _small_scenario(mobility=RandomWaypointMobility(3000.0))
         )
 
     def test_fronthaul_and_faults_interleaved(self) -> None:
         # Models are stateful: build a fresh set for each scenario.
-        def kwargs():
-            return dict(
+        _assert_matches_oracle(
+            lambda: _small_scenario(
                 fronthaul=ScintillatingFronthaul(), faults=MarkovOutages()
             )
-
-        _assert_states_identical(
-            _small_scenario(**kwargs()).fresh_states(30),
-            _small_scenario(**kwargs()).fresh_compiled_states(30, chunk=8),
         )
 
     def test_full_composition(self) -> None:
-        def kwargs():
-            return dict(
+        _assert_matches_oracle(
+            lambda: _small_scenario(
                 config=repro.ScenarioConfig(num_devices=8, workload="diurnal"),
                 mobility=RandomWaypointMobility(3000.0),
                 fronthaul=ScintillatingFronthaul(),
                 faults=MarkovOutages(),
             )
-
-        _assert_states_identical(
-            _small_scenario(**kwargs()).fresh_states(24),
-            _small_scenario(**kwargs()).fresh_compiled_states(24),
         )
 
     def test_start_offset(self) -> None:
@@ -145,21 +158,20 @@ class TestCompiledStates:
         got = list(b.generator.compile_states(20, b.state_rng(), start=5))
         _assert_states_identical(ref, got)
 
-    def test_empty_horizon_and_bad_chunk(self) -> None:
+    def test_empty_horizon(self) -> None:
         scenario = _small_scenario()
-        assert list(scenario.fresh_compiled_states(0)) == []
-        with pytest.raises(ConfigurationError):
-            list(scenario.fresh_compiled_states(10, chunk=0))
+        assert list(scenario.fresh_states(0)) == []
+        assert list(scenario.generator.compile_states(0, scenario.state_rng())) == []
 
     def test_end_to_end_run_bit_identical(self) -> None:
         compiled = run(
             scenario=_small_scenario(), controller="dpp", horizon=24
         )
-        per_slot = run(
-            scenario=_small_scenario(),
-            controller="dpp",
-            horizon=24,
-            compiled_states=False,
+        oracle = _small_scenario()
+        per_slot = run_simulation(
+            repro.make_controller("dpp", oracle),
+            oracle.generator.states(24, oracle.state_rng()),
+            budget=oracle.budget,
         )
         for name in ("latency", "cost", "theta", "backlog", "price"):
             assert np.array_equal(

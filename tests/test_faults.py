@@ -437,18 +437,48 @@ class TestFaultPlan:
         np.testing.assert_array_equal(base_cycles, faulted_cycles)
 
     def test_compiled_and_per_slot_paths_agree_under_faults(self) -> None:
-        scenario = repro.make_paper_scenario(
-            seed=93,
-            config=repro.ScenarioConfig(num_devices=8),
-            fault_plan=self._full_plan(),
-        )
-        per_slot = list(scenario.fresh_states(25))
-        compiled = list(scenario.fresh_compiled_states(25, chunk=7))
-        for a, b in zip(per_slot, compiled):
-            np.testing.assert_array_equal(a.price, b.price)
-            np.testing.assert_array_equal(
-                a.spectral_efficiency, b.spectral_efficiency
+        # The plan draws from its own stream, so wrapping the per-slot
+        # states() oracle and the compiled stream must agree exactly,
+        # on either side of the 32-slot compile block and off slot 0.
+        def scenario():
+            return repro.make_paper_scenario(
+                seed=93,
+                config=repro.ScenarioConfig(num_devices=8),
+                fault_plan=self._full_plan(),
             )
+
+        def faulted(sc, states):
+            return list(sc.fault_plan.stream(states, sc.network, sc.fault_rng()))
+
+        for horizon in (1, 31, 32, 33, 65):
+            for start in (0, 5):
+                ref, got = scenario(), scenario()
+                per_slot = faulted(
+                    ref, ref.generator.states(horizon, ref.state_rng(), start=start)
+                )
+                if start == 0:
+                    compiled = list(got.fresh_states(horizon))
+                else:
+                    compiled = faulted(
+                        got,
+                        got.generator.compile_states(
+                            horizon, got.state_rng(), start=start
+                        ),
+                    )
+                assert len(per_slot) == len(compiled) == horizon
+                for a, b in zip(per_slot, compiled):
+                    assert a.t == b.t
+                    assert a.price == b.price
+                    for name in (
+                        "cycles",
+                        "bits",
+                        "spectral_efficiency",
+                        "fronthaul_se",
+                        "available_servers",
+                    ):
+                        np.testing.assert_array_equal(
+                            getattr(a, name), getattr(b, name), err_msg=name
+                        )
 
     def test_state_dict_round_trip(self) -> None:
         network = make_tiny_network()

@@ -27,7 +27,7 @@ from repro.core.congestion_game import OffloadingCongestionGame
 from repro.core.p2b import solve_p2b
 from repro.core.resilience import ResiliencePolicy, SolverChaos
 from repro.core.state import Assignment, SlotState
-from repro.energy.models import QuadraticEnergyModel
+from repro.energy.models import CubicEnergyModel, QuadraticEnergyModel
 from repro.exceptions import ConfigurationError, ConvergenceError
 from repro.kernels import (
     BACKEND_NAMES,
@@ -339,6 +339,51 @@ class TestGoldenQuadKernel:
         assert x[2] == lo[2]
         np.testing.assert_array_equal(x, reference.x)
         np.testing.assert_array_equal(evals, reference.iterations)
+
+    @pytest.mark.parametrize("servers", (63, 64))
+    def test_solve_p2b_matches_numpy_scalar_oracle(self, servers: int) -> None:
+        # Either side of the auto cutover, with one cubic-energy lane
+        # the native kernel cannot take: every jit method must equal
+        # the numpy Python loop, and counters must match numpy's for
+        # the same method.
+        scenario = repro.make_paper_scenario(
+            seed=5,
+            config=repro.ScenarioConfig(num_devices=160),
+            num_clusters=1,
+            servers_per_cluster=servers,
+        )
+        base = scenario.network
+        fleet = list(base.servers)
+        fleet[3] = dataclasses.replace(
+            fleet[3], energy_model=CubicEnergyModel(kappa=2.0, static=1.0)
+        )
+        network = MECNetwork(
+            base.base_stations, base.clusters, tuple(fleet), base.devices,
+            base.suitability,
+        )
+        state = next(iter(scenario.fresh_states(1)))
+        rng = np.random.default_rng(servers)
+        server_of = rng.integers(0, servers, size=network.num_devices)
+        server_of[0] = 3
+        assignment = Assignment(
+            bs_of=np.zeros(network.num_devices, dtype=np.int64),
+            server_of=server_of,
+        )
+
+        def solve(backend: str, method: str):
+            probe = Probe()
+            freqs = solve_p2b(
+                network, state, assignment, queue_backlog=40.0, v=100.0,
+                method=method, backend=backend, tracer=probe,
+            )
+            return freqs, dict(probe.phases.counters)
+
+        oracle, _ = solve("numpy", "scalar")
+        assert oracle[3] != network.freq_min[3]  # the cubic lane searched
+        for method in ("auto", "scalar", "batch"):
+            got, counters = solve("jit", method)
+            assert got.tobytes() == oracle.tobytes(), method
+            assert counters == solve("numpy", method)[1], method
 
 
 @requires_jit

@@ -203,6 +203,19 @@ class TestFailureSalvage:
         assert summary.failed_runs == 1
         assert summary.to_dict()["failed_runs"] == 1
 
+    @pytest.mark.parametrize("processes", (None, 2))
+    def test_plain_failure_propagates_unchanged(self, processes) -> None:
+        # No retries, timeout or injected seeds: the run's own error
+        # escapes (sequential and pooled alike) instead of being
+        # recorded as a failed seed.
+        sink = ListSink()
+        spec = small_spec(network_overrides=(("num_clusters", 0),))
+        with pytest.raises(ValueError, match="high <= 0"):
+            run_replications(
+                spec, seeds=(1, 2), processes=processes, tracer=Probe([sink])
+            )
+        assert sink.events("replication.seed_failed") == []
+
     def test_retry_knob_validation(self) -> None:
         with pytest.raises(ConfigurationError):
             run_replications(small_spec(), seeds=(0,), max_retries=-1)

@@ -232,7 +232,7 @@ class TestControllerUnderChaos:
         )
         result = repro.run_simulation(
             controller,
-            scenario.fresh_compiled_states(30, tracer=probe),
+            scenario.fresh_states(30, tracer=probe),
             budget=scenario.budget,
             tracer=probe,
         )

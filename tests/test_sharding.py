@@ -17,6 +17,7 @@ from repro import sharding
 from repro.core.budget import BudgetCoordinator, CoordinatedBudget
 from repro.exceptions import ConfigurationError
 from repro.radio.mobility import RandomWaypointMobility
+from repro.sim.shard_runtime import SharedStatePlanner
 
 
 def metro_scenario(
@@ -390,18 +391,22 @@ class TestResidentRuntime:
                 metro_scenario(), plan, epoch=2, processes=2, runtime="legacy"
             )
 
-    def test_shared_states_off_matches(self) -> None:
+    def test_shared_states_off_matches(self, monkeypatch) -> None:
+        # Shared memory is on whenever the planner supports the cells;
+        # forcing supported() off makes the workers draw their own.
         scenario = metro_scenario()
         plan = sharding.partition_cells(
             scenario.network, 2, rng=np.random.default_rng(3)
         )
+        assert SharedStatePlanner.supported([scenario])
         with_shm = sharding.run_sharded(
-            scenario, horizon=4, cells=plan, epoch=2,
-            processes=2, shared_states=True,
+            scenario, horizon=4, cells=plan, epoch=2, processes=2
+        )
+        monkeypatch.setattr(
+            SharedStatePlanner, "supported", staticmethod(lambda scenarios: False)
         )
         without = sharding.run_sharded(
-            metro_scenario(), horizon=4, cells=plan, epoch=2,
-            processes=2, shared_states=False,
+            metro_scenario(), horizon=4, cells=plan, epoch=2, processes=2
         )
         assert_identical(with_shm.merged, without.merged)
 
